@@ -75,16 +75,20 @@ class PcieLink:
         """Device writes `nbytes` into host memory; fires when posted upstream."""
         return self.sim.process(self._dma_write(nbytes, priority, flow), name=self._write_name)
 
-    def _maybe_stall(self, direction: str) -> typing.Generator:
-        """Honor an injected stall window before a leg in `direction`."""
-        if self.fault_plan is not None:
-            delay = self.fault_plan.stall_delay(self.sim.now, direction)
-            if delay > 0:
-                yield self.sim.timeout(delay)
+    def _stall(self, direction: str) -> typing.Generator:
+        """Honor an injected stall window before a leg in `direction`.
+
+        Callers guard on ``fault_plan is not None`` so a fault-free link
+        builds no generator per leg.
+        """
+        delay = self.fault_plan.stall_delay(self.sim.now, direction)
+        if delay > 0:
+            yield self.sim.timeout(delay)
 
     def _dma_read(self, nbytes: int, priority: int, flow: str | None) -> typing.Generator:
         # Read request travels upstream first (control, unmetered)...
-        yield from self._maybe_stall("d2h")
+        if self.fault_plan is not None:
+            yield from self._stall("d2h")
         yield self.d2h.transfer(_CONTROL_BYTES, priority=priority)
         # ...then completions stream back in chunks, each queueing on the
         # downstream direction.
@@ -92,12 +96,14 @@ class PcieLink:
         remaining = nbytes
         while remaining > 0:
             step = min(chunk, remaining)
-            yield from self._maybe_stall("h2d")
+            if self.fault_plan is not None:
+                yield from self._stall("h2d")
             yield self.h2d.transfer(step, priority=priority, meter=self.h2d_meter, flow=flow)
             remaining -= step
         return nbytes
 
     def _dma_write(self, nbytes: int, priority: int, flow: str | None) -> typing.Generator:
-        yield from self._maybe_stall("d2h")
+        if self.fault_plan is not None:
+            yield from self._stall("d2h")
         yield self.d2h.transfer(max(nbytes, 1), priority=priority, meter=self.d2h_meter, flow=flow)
         return nbytes

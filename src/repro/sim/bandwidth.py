@@ -28,6 +28,17 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.telemetry.metrics import BandwidthMeter
 
 
+class _FastTransfer(Timeout):
+    """Completion event of a fast-path transfer; its value is the byte count.
+
+    Carries the per-transfer meter and flow tag so the server books the
+    transfer through one shared callback instead of a closure per
+    transfer.
+    """
+
+    __slots__ = ("meter", "flow")
+
+
 class BandwidthServer:
     """A FIFO pipe of `rate` bytes/second split across `lanes` equal lanes.
 
@@ -74,6 +85,9 @@ class BandwidthServer:
         #: perf harness's event-count micro-benchmark).
         self.fast_transfers = 0
         self.slow_transfers = 0
+        # Bound once: the server is long-lived, so the method object's
+        # reference back to it is no per-transfer cycle.
+        self._book_fast = self._on_fast_done
 
     @property
     def lane_rate(self) -> float:
@@ -194,22 +208,21 @@ class BandwidthServer:
             # is ``(now + service) + overhead`` — the same association
             # must be used here or completion times differ in the last
             # ulp and the fast/slow equivalence property breaks.
-            done = Timeout.__new__(Timeout)
+            done = _FastTransfer.__new__(_FastTransfer)
             done.sim = sim
             done._name = self._xfer_name
-            done.callbacks = []
+            # Booking runs before any waiter: the callback is in place
+            # before the caller could yield this event.
+            done.callbacks = [self._book_fast]
             done._value = nbytes
             done._ok = True
             done._defused = False
             done.delay = service + self.per_transfer_overhead
+            done.meter = meter
+            done.flow = flow
             heappush(
                 sim._queue,
                 (end + self.per_transfer_overhead, next(sim._sequence), done),
-            )
-            # Booking runs before any waiter: the callback was appended
-            # before the caller could yield this event.
-            done.callbacks.append(
-                lambda _event: self._book(nbytes, meter, flow)
             )
             return done
         if self._fast_busy:
@@ -218,6 +231,9 @@ class BandwidthServer:
         return Process(
             self.sim, self._transfer(nbytes, priority, meter, flow), name=self._xfer_name
         )
+
+    def _on_fast_done(self, done: _FastTransfer) -> None:
+        self._book(done._value, done.meter, done.flow)
 
     def _book(
         self, nbytes: int, meter: "BandwidthMeter | None", flow: str | None

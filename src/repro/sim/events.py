@@ -144,7 +144,14 @@ class Timeout(Event):
 
 
 class _Condition(Event):
-    """Shared machinery for :class:`AllOf` / :class:`AnyOf`."""
+    """Shared machinery for :class:`AllOf` / :class:`AnyOf`.
+
+    Once the condition fires it drops its constituent list. A
+    constituent that never fires (the loser of an :class:`AnyOf` race)
+    keeps the condition alive through its callback, so holding the list
+    past that point would tie the two into a reference cycle that only
+    the cyclic collector could free.
+    """
 
     __slots__ = ("_events", "_done")
 
@@ -161,20 +168,27 @@ class _Condition(Event):
             else:
                 event.callbacks.append(self._observe)
         if not self.triggered and self._satisfied():
-            self.succeed(self._collect())
+            self._settle()
 
     def _observe(self, event: Event) -> None:
         if self.triggered:
+            # A constituent failing after the condition fired is still
+            # handled here, so it never surfaces as unhandled.
             if not event.ok:
                 event.defuse()
             return
         if not event.ok:
             event.defuse()
             self.fail(typing.cast(BaseException, event._value))
+            self._events = ()
             return
         self._done += 1
         if self._satisfied():
-            self.succeed(self._collect())
+            self._settle()
+
+    def _settle(self) -> None:
+        self.succeed(self._collect())
+        self._events = ()
 
     def _satisfied(self) -> bool:
         raise NotImplementedError

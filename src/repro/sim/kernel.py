@@ -8,6 +8,7 @@ world with :meth:`Simulator.run`.
 
 from __future__ import annotations
 
+import gc
 import math
 import typing
 import weakref
@@ -269,19 +270,30 @@ class Simulator:
             if deadline < self._now:
                 raise SimulationError(f"deadline {deadline!r} is in the past (now={self._now!r})")
 
-        if stop_event is None and deadline is None:
-            # Drain mode: no per-step termination checks needed, so the
-            # body of step() is inlined here with the queue, heappop, and
-            # tracer list held in locals — the per-event method call and
-            # attribute traffic are measurable at millions of events.
-            # The step counter is accumulated locally and folded back in
-            # a finally block (nothing reads it mid-callback).
-            queue = self._queue
-            pop = heappop
-            tracers = self._tracers
-            unhandled = self._unhandled
-            processed = 0
-            try:
+        # The loops below are specialized per mode so each loop head
+        # holds only its own termination check: the body of step() is
+        # inlined with the queue, heappop, and tracer list held in
+        # locals, because the per-event method call and attribute
+        # traffic are measurable at millions of events. The step counter
+        # is accumulated locally and folded back in the finally block
+        # (nothing reads it mid-callback).
+        #
+        # The cyclic garbage collector is paused while events dispatch.
+        # The kernel's per-request objects (events, requests, processes,
+        # conditions) are acyclic, so reference counting frees them as
+        # soon as they fire; a collector pass would only rescan the live
+        # model graph, and it runs every few hundred allocations. The
+        # caller's collector state is restored on every exit.
+        queue = self._queue
+        pop = heappop
+        tracers = self._tracers
+        unhandled = self._unhandled
+        processed = 0
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            if stop_event is None and deadline is None:
+                # Drain mode: no per-step termination checks.
                 while queue:
                     when, _seq, event = pop(queue)
                     self._now = when
@@ -296,19 +308,9 @@ class Simulator:
                         unhandled.append(typing.cast(BaseException, event._value))
                     if unhandled:
                         self._raise_unhandled()
-            finally:
-                self._steps += processed
-        elif deadline is None:
-            # Stop-event mode: same inlined dispatch with only the
-            # stop-event check in the loop head (experiments run in the
-            # until-modes, so they are just as hot as drain mode; the
-            # loops are specialized per mode to keep the head minimal).
-            queue = self._queue
-            pop = heappop
-            tracers = self._tracers
-            unhandled = self._unhandled
-            processed = 0
-            try:
+            elif deadline is None:
+                # Stop-event mode (experiments run in the until-modes, so
+                # they are just as hot as drain mode).
                 while queue:
                     if stop_event.callbacks is None:  # processed
                         break
@@ -325,16 +327,8 @@ class Simulator:
                         unhandled.append(typing.cast(BaseException, event._value))
                     if unhandled:
                         self._raise_unhandled()
-            finally:
-                self._steps += processed
-        else:
-            # Deadline mode: only the next-event-past-deadline check.
-            queue = self._queue
-            pop = heappop
-            tracers = self._tracers
-            unhandled = self._unhandled
-            processed = 0
-            try:
+            else:
+                # Deadline mode: only the next-event-past-deadline check.
                 while queue:
                     if queue[0][0] > deadline:
                         self._now = deadline
@@ -352,8 +346,10 @@ class Simulator:
                         unhandled.append(typing.cast(BaseException, event._value))
                     if unhandled:
                         self._raise_unhandled()
-            finally:
-                self._steps += processed
+        finally:
+            self._steps += processed
+            if gc_was_enabled:
+                gc.enable()
 
         if stop_event is not None:
             if not stop_event.triggered:

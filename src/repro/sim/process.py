@@ -121,6 +121,12 @@ class Process(Event):
             heappush(sim._queue, (sim._now, next(sim._sequence), self))
             return
         except BaseException as exc:  # noqa: BLE001 - model errors must surface
+            # Trim this frame from the traceback (the generator's frames
+            # stay): it holds `self`, and the process stores `exc` as its
+            # value, so keeping it would make a reference cycle. No local
+            # may hold the old traceback, or that local would close a
+            # cycle of its own through this frame.
+            exc.__traceback__ = exc.__traceback__.tb_next  # type: ignore[union-attr]
             if self.callbacks:
                 self.fail(exc)
             else:

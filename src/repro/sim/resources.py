@@ -1,7 +1,8 @@
 """Queueing resources: counted resources and item stores.
 
 :class:`Resource` models `capacity` identical service slots (CPU cores,
-DMA lanes, compression engines): processes ``yield resource.request()``,
+DMA lanes, compression engines): processes ``req = resource.request()``,
+``yield req`` (which resumes with ``None`` once the slot is granted),
 hold the slot, then ``resource.release(req)``. Requests are granted in
 FIFO order with optional integer priorities.
 
@@ -22,7 +23,12 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 
 class Request(Event):
-    """A pending or granted claim on one slot of a :class:`Resource`."""
+    """A pending or granted claim on one slot of a :class:`Resource`.
+
+    The event succeeds with ``None`` when the slot is granted (as in
+    SimPy); keep the request object itself to pass to
+    :meth:`Resource.release`.
+    """
 
     __slots__ = ("resource", "priority", "_entry")
 
@@ -91,13 +97,15 @@ class Resource:
         return tuple(entry[2] for entry in live)
 
     def request(self, priority: int = 0) -> Request:
-        """Claim a slot; the returned event fires when the slot is granted."""
+        """Claim a slot; the returned event fires with ``None`` when granted."""
         req = Request(self, priority)
         if self._in_use < self.capacity and not self._n_waiting:
             self._in_use += 1
-            # Inlined req.succeed(req): freshly created, so it cannot
-            # already be triggered and _ok is True by construction.
-            req._value = req
+            # Inlined req.succeed(): freshly created, so it cannot
+            # already be triggered and _ok is True by construction. The
+            # grant carries None, not the request: a request holding
+            # itself as its value is a reference cycle per acquisition.
+            req._value = None
             sim = self.sim
             heappush(sim._queue, (sim._now, next(sim._sequence), req))
         else:
@@ -140,9 +148,9 @@ class Resource:
             nxt._entry = None
             self._n_waiting -= 1
             self._in_use += 1
-            # Inlined nxt.succeed(nxt): queued requests are untriggered
+            # Inlined nxt.succeed(): queued requests are untriggered
             # (the triggered branch above handles granted ones).
-            nxt._value = nxt
+            nxt._value = None
             sim = self.sim
             heappush(sim._queue, (sim._now, next(sim._sequence), nxt))
         elif self._waiting:

@@ -1,5 +1,6 @@
 """Unit tests for the discrete-event simulation kernel."""
 
+import gc
 import sys
 
 import pytest
@@ -202,6 +203,85 @@ def test_any_of_fires_on_first_event():
     sim.process(body())
     sim.run()
     assert t_done == [1.0]
+
+
+def test_any_of_constituent_failing_after_it_fired_is_handled():
+    sim = Simulator()
+    late = sim.event()
+    fired = []
+
+    def body():
+        value = yield AnyOf(sim, [sim.timeout(1.0, value="first"), late])
+        fired.append((sim.now, list(value.values())))
+
+    def fail_late():
+        yield sim.timeout(5.0)
+        late.fail(ValueError("lost the race"))
+
+    sim.process(body())
+    sim.process(fail_late())
+    sim.run()  # the late failure must not surface as unhandled
+    assert fired == [(1.0, ["first"])]
+    assert late.processed and not late.ok
+
+
+def test_all_of_failing_fast_defuses_a_later_failure():
+    sim = Simulator()
+    first, second = sim.event(), sim.event()
+    caught = []
+
+    def body():
+        try:
+            yield AllOf(sim, [first, second, sim.timeout(9.0)])
+        except ValueError as exc:
+            caught.append((sim.now, str(exc)))
+
+    def fail_both():
+        yield sim.timeout(1.0)
+        first.fail(ValueError("first"))
+        yield sim.timeout(1.0)
+        second.fail(ValueError("second"))
+
+    sim.process(body())
+    sim.process(fail_both())
+    sim.run()
+    assert caught == [(1.0, "first")]
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize("mode", ["drain", "deadline", "stop-event", "raising-callback"])
+def test_run_restores_the_collector_state(enabled, mode):
+    sim = Simulator()
+    during = []
+
+    def body():
+        yield sim.timeout(1.0)
+        during.append(gc.isenabled())
+        yield sim.timeout(1.0)
+        return "done"
+
+    def explode(_event):
+        raise RuntimeError("callback failed")
+
+    proc = sim.process(body())
+    sim.timeout(10.0)
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if mode == "drain":
+            sim.run()
+        elif mode == "deadline":
+            sim.run(until=5.0)
+        elif mode == "stop-event":
+            assert sim.run(until=proc) == "done"
+        else:
+            sim.timeout(1.5).callbacks.append(explode)
+            with pytest.raises(RuntimeError, match="callback failed"):
+                sim.run()
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert during == [False]  # paused while events dispatch
 
 
 def test_interrupt_wakes_sleeping_process():

@@ -46,6 +46,22 @@ class TestResource:
         sim.run()
         assert order == [0, 1, 2, 3]
 
+    def test_grant_yields_none(self):
+        sim = Simulator()
+        resource = Resource(sim, capacity=1)
+        granted = []
+
+        def worker():
+            req = resource.request()
+            granted.append((yield req))
+            yield sim.timeout(1.0)
+            resource.release(req)
+
+        sim.process(worker())  # granted at once
+        sim.process(worker())  # queued, granted on release
+        sim.run()
+        assert granted == [None, None]
+
     def test_priority_jumps_queue(self):
         sim = Simulator()
         resource = Resource(sim, capacity=1)
