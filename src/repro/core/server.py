@@ -28,7 +28,7 @@ from repro.hostmodel.cache import DdioLlc
 from repro.hostmodel.memory import MemorySubsystem
 from repro.middletier.base import MiddleTierServer, ResponseMatcher
 from repro.middletier.cluster import Testbed
-from repro.net.message import Message, decompress_payload
+from repro.net.message import Message, Payload, decompress_payload
 from repro.net.roce import QueuePair, RoceEndpoint
 from repro.telemetry.metrics import Counter
 from repro.telemetry.registry import registry_for
@@ -165,20 +165,11 @@ class SmartDsMiddleTier(MiddleTierServer):
         # Header-only client messages (read requests) bypass AAMS and land
         # in the software receive queue; drain it like a plain NIC.
         self.sim.process(
-            self._dispatch_control(qp.peer, port_index),
+            self._dispatch(qp.peer, port_index),
             name=f"{self.address}.ctl{port_index}",
             daemon=True,
         )
         return qp
-
-    def _dispatch_control(self, qp: QueuePair, port_index: int) -> typing.Generator:
-        while True:
-            message: Message = yield qp.recv()
-            message.header["arrival_port"] = port_index
-            if self._bounce_if_misrouted(qp, message):
-                continue
-            if self._admit(qp, message):
-                self._requests.put((qp, message))
 
     def _post_recv(self, port_index: int, qp: QueuePair) -> None:
         """Post one mixed-recv descriptor; its completion reposts another.
@@ -337,239 +328,96 @@ class SmartDsMiddleTier(MiddleTierServer):
             if d_send is not None:
                 api.dev_free(d_send)
 
-    # -- the read path --------------------------------------------------------------
+    # -- the read path: hooks into the base class's fail-over loop ---------------
 
-    def _reply_from_cache(
+    def _send_fetch(
+        self, server: "StorageServer", message: Message, fetch: Message
+    ) -> typing.Generator:
+        """§2.2.2 on SmartDS: a reply with data is consumed by the Split
+        module (payload to HBM); a miss is header-only and lands at the
+        control matcher — as does a *full* reply when the device
+        degraded this QP to host-path ingress. Both are raced."""
+        port_index = message.header.get("arrival_port", 0)
+        storage_qp, control_matcher = self._storage_link_for(server, message)
+        split_matcher = self._read_matchers.get((port_index, server.address))
+        if split_matcher is None:
+            split_matcher = _SplitReplyMatcher(self, storage_qp)
+            self._read_matchers[(port_index, server.address)] = split_matcher
+        events = [
+            split_matcher.expect(fetch.request_id),
+            control_matcher.expect(fetch.request_id),
+        ]
+        yield storage_qp.send(fetch)
+        return events
+
+    def _take_fetch(
         self,
+        server: "StorageServer",
+        message: Message,
+        fetch: Message,
+        events: list[typing.Any],
+        span: typing.Any,
+    ) -> tuple[Message, typing.Any] | None:
+        port_index = message.header.get("arrival_port", 0)
+        split_matcher = self._read_matchers[(port_index, server.address)]
+        control_matcher = self._storage_link_for(server, message)[1]
+        data_event, ctl_event = events
+        if data_event.triggered:
+            control_matcher.forget(fetch.request_id)
+            stored, d_buf = data_event.value
+            if span is not None:
+                span.finish("ok", nbytes=stored.payload_size, path="split")
+            return stored, d_buf
+        split_matcher.forget(fetch.request_id)
+        if not ctl_event.triggered:
+            control_matcher.forget(fetch.request_id)
+            return None
+        ctl: Message = ctl_event.value
+        if span is not None:
+            # A payload here is degraded: it sits in host memory.
+            status = "ok" if ctl.payload is None else "degraded"
+            span.finish(status, nbytes=ctl.payload_size, path="host")
+        return ctl, None
+
+    def _land_reply(
+        self,
+        worker_index: int,
         qp: QueuePair,
         message: Message,
-        entry: typing.Any,
-        port_index: int,
-        started: float,
+        payload: Payload,
+        span: typing.Any,
+        landed: typing.Any,
+        entry: typing.Any = None,
     ) -> typing.Generator:
-        """Serve a hit from HBM: decompress the cached buffer on the
-        port engine and reply — one hop, no storage traffic.
+        """Decompress HBM to HBM on the port engine and reply via the
+        Assemble path — from the pinned cache entry's buffer on a hit,
+        from the split-landed buffer (freed here) on a miss.
 
-        The entry stays pinned across the engine yields, so a
-        concurrent invalidation or shed defers the buffer free to our
-        release instead of yanking it mid-decompress.
+        Two degraded cases: with no HBM for the decompressed output the
+        engine is skipped for a software decompress, and a reply that
+        arrived whole on the control path (no split descriptor, payload
+        in host DRAM) completes on the ``read.host-path``.
         """
         api = self.api
-        payload = entry.payload
-        parent = message.span
-        hit_span = None if parent is None else parent.child("cache.hit")
+        source = landed if entry is None else entry.buffer
+        reply_span = span
         d_out = None
         try:
-            if payload.is_compressed:
+            if source is None:
+                self.reads_degraded.add()
+                if span is not None:
+                    reply_span = span.child("read.host-path", reason="no-split-descriptor")
+                if payload.is_compressed:
+                    yield self.memory.read(payload.size)
+                    payload = decompress_payload(payload)
+            elif payload.is_compressed:
                 d_out = yield from api.dev_alloc_within(
                     self._buffer_bytes, self.platform.recovery.degraded_alloc_wait
                 )
                 if d_out is None:
                     # No HBM for the decompressed output: software path.
                     self.reads_degraded.add()
-                    sw_span = None if hit_span is None else hit_span.child("decompress.sw")
-                    yield self.memory.read(payload.size)
-                    payload = decompress_payload(payload)
-                    if sw_span is not None:
-                        sw_span.finish("degraded", nbytes=payload.size)
-                else:
-                    engine = self.device.instance(port_index).engine
-                    eng_span = None if hit_span is None else hit_span.child("engine.decompress")
-                    payload = yield engine.run(
-                        entry.buffer, payload.size, d_out, operation=lz4_decompress_op
-                    )
-                    if eng_span is not None:
-                        eng_span.finish(nbytes=payload.size)
-            response = message.reply("read_reply", status="ok")
-            response.payload = payload
-            response.span = hit_span
-            yield qp.send(response)
-            if hit_span is not None:
-                hit_span.finish(nbytes=payload.size)
-            self._complete(message, nbytes=payload.size)
-            self.cache_hit_latency.record(self.sim.now - started)
-        finally:
-            self.cache.release(entry)
-            if d_out is not None:
-                api.dev_free(d_out)
-
-    def _fetch_and_reply(
-        self, worker_index: int, qp: QueuePair, message: Message
-    ) -> typing.Generator:
-        """§2.2.2 on SmartDS: reply payloads land in HBM via mixed recv,
-        decompress on the port engine, and leave via the Assemble path.
-
-        Same fail-over discipline as the base class: per-attempt
-        time-outs, rotation through the replica set (skipping suspected
-        servers), and ``status="unavailable"`` once the retry policy's
-        budget runs out. Under device-memory pressure a reply payload
-        may instead arrive whole on the control path (host DRAM); the
-        read then completes degraded with a software decompress.
-        """
-        api = self.api
-        started = self.sim.now
-        key = (message.header.get("chunk_id", 0), message.header.get("block_id", 0))
-        port_index = message.header.get("arrival_port", 0)
-        parent = message.span
-        fill_token = None
-        if self.cache is not None:
-            entry = self.cache.lookup(key)
-            if entry is not None:
-                yield from self._reply_from_cache(qp, message, entry, port_index, started)
-                return
-            if parent is not None:
-                parent.event("cache.miss")
-            if self._fill_allowed():
-                fill_token = self.cache.begin_fill(key)
-        locations = self._block_locations.get(key)
-        if not locations:
-            if parent is not None:
-                parent.event("read.not_found", outcome="failed")
-            self._release_admission(message)
-            if self._slo_monitors:
-                self._observe_completion(
-                    message, "not_found", latency=self.sim.now - started
-                )
-            yield qp.send(message.reply("read_reply", status="not_found"))
-            return
-        policy = self.read_retry
-        token = self._retry_token(message)
-        start = self.sim.now
-        attempts = 0
-        stored: Message | None = None
-        d_buf: typing.Any = None
-        reply_matcher: "_SplitReplyMatcher | None" = None
-        while stored is None:
-            address = self._read_replica_for(locations, attempts)
-            if (
-                address is None
-                or policy.attempts_exhausted(attempts)
-                or policy.deadline_expired(self.sim.now - start)
-            ):
-                self.reads_unavailable.add()
-                self._release_admission(message)
-                if self._slo_monitors:
-                    self._observe_completion(
-                        message, "unavailable", latency=self.sim.now - started
-                    )
-                unavail_span = None
-                if parent is not None:
-                    unavail_span = parent.child(
-                        "read.unavailable", attempts=attempts, **policy.describe()
-                    )
-                response = message.reply("read_reply", status="unavailable")
-                response.span = unavail_span
-                yield qp.send(response)
-                if unavail_span is not None:
-                    unavail_span.finish("failed")
-                return
-            attempts += 1
-            backoff = policy.backoff_before(attempts, token)
-            if backoff > 0:
-                yield self.sim.timeout(backoff)
-            server = self.testbed.server(address)
-            storage_qp, control_matcher = self._port_links[port_index][address]
-            reply_matcher = self._read_matchers.get((port_index, address))
-            if reply_matcher is None:
-                reply_matcher = _SplitReplyMatcher(self, storage_qp)
-                self._read_matchers[(port_index, address)] = reply_matcher
-
-            fetch = Message(
-                kind="storage_read",
-                src=self.address,
-                dst=server.address,
-                header_size=message.header_size,
-                header={"chunk_id": key[0], "block_id": key[1]},
-            )
-            attempt_span = None
-            if parent is not None:
-                attempt_span = parent.child("read.attempt", server=address, attempt=attempts)
-                fetch.span = attempt_span
-            # A reply with data is consumed by the Split module (payload
-            # to HBM); a miss is header-only and lands at the control
-            # matcher — as does a *full* reply when the device degraded
-            # this QP to host-path ingress.
-            data_event = reply_matcher.expect(fetch.request_id)
-            ctl_event = control_matcher.expect(fetch.request_id)
-            yield storage_qp.send(fetch)
-            deadline = self.sim.timeout(policy.timeout_for(attempts, self.sim.now - start))
-            yield self.sim.any_of([data_event, ctl_event, deadline])
-
-            if data_event.triggered:
-                control_matcher.forget(fetch.request_id)
-                stored, d_buf = data_event.value
-                if self.admission is not None:
-                    self.admission.record_server_success(address)
-                if attempt_span is not None:
-                    attempt_span.finish("ok", nbytes=stored.payload_size, path="split")
-            elif ctl_event.triggered:
-                reply_matcher.forget(fetch.request_id)
-                ctl: Message = ctl_event.value
-                if self.admission is not None:
-                    self.admission.record_server_success(address)
-                if ctl.kind == "storage_read_reply" and ctl.payload is not None:
-                    stored = ctl  # degraded: payload is in host memory
-                    if attempt_span is not None:
-                        attempt_span.finish(
-                            "degraded", nbytes=stored.payload_size, path="host"
-                        )
-                else:
-                    if attempt_span is not None:
-                        attempt_span.finish("failed")
-                    self._release_admission(message)
-                    if self._slo_monitors:
-                        self._observe_completion(
-                            message, "not_found", latency=self.sim.now - started
-                        )
-                    yield qp.send(message.reply("read_reply", status="not_found"))
-                    return
-            else:
-                # Attempt timed out: release interest on both matchers
-                # and rotate to the next replica (§2.2.3 fail-over).
-                reply_matcher.forget(fetch.request_id)
-                control_matcher.forget(fetch.request_id)
-                if self.admission is not None:
-                    self.admission.record_server_failure(address)
-                self.read_failovers.add()
-                if attempt_span is not None:
-                    attempt_span.finish(
-                        "retried", timeout=policy.timeout_for(attempts, self.sim.now - start)
-                    )
-
-        payload = stored.payload
-        if self.cache is not None and fill_token is not None:
-            # Admission decision on the fetched (still compressed) block.
-            admitted = self.cache.offer(key, payload, fill_token)
-            if parent is not None:
-                parent.event("cache.fill", admitted=admitted)
-        if d_buf is None:
-            # Host-path reply: decompress in software from host DRAM.
-            self.reads_degraded.add()
-            host_span = None
-            if parent is not None:
-                host_span = parent.child("read.host-path", reason="no-split-descriptor")
-            if payload.is_compressed:
-                yield self.memory.read(payload.size)
-                payload = decompress_payload(payload)
-            response = message.reply("read_reply", status="ok")
-            response.payload = payload
-            response.span = host_span
-            yield qp.send(response)
-            if host_span is not None:
-                host_span.finish("degraded", nbytes=payload.size)
-            self._complete(message, nbytes=payload.size)
-            if self.cache is not None:
-                self.cache_miss_latency.record(self.sim.now - started)
-            return
-        d_out = yield from api.dev_alloc_within(
-            self._buffer_bytes, self.platform.recovery.degraded_alloc_wait
-        )
-        try:
-            if payload.is_compressed:
-                if d_out is None:
-                    # No HBM for the decompressed output: software path.
-                    self.reads_degraded.add()
-                    sw_span = None if parent is None else parent.child("decompress.sw")
+                    sw_span = None if span is None else span.child("decompress.sw")
                     yield self.memory.read(payload.size)
                     payload = decompress_payload(payload)
                     if sw_span is not None:
@@ -577,22 +425,20 @@ class SmartDsMiddleTier(MiddleTierServer):
                 else:
                     # Same engine, decompression microprogram (the paper's
                     # engines are symmetric for LZ4).
-                    engine = self.device.instance(port_index).engine
-                    eng_span = None if parent is None else parent.child("engine.decompress")
+                    engine = self.device.instance(message.header.get("arrival_port", 0)).engine
+                    eng_span = None if span is None else span.child("engine.decompress")
                     payload = yield engine.run(
-                        d_buf, payload.size, d_out, operation=lz4_decompress_op
+                        source, payload.size, d_out, operation=lz4_decompress_op
                     )
                     if eng_span is not None:
                         eng_span.finish(nbytes=payload.size)
-            response = message.reply("read_reply", status="ok")
-            response.payload = payload
-            response.span = parent
-            yield qp.send(response)
-            self._complete(message, nbytes=payload.size)
-            if self.cache is not None:
-                self.cache_miss_latency.record(self.sim.now - started)
+            yield from self._send_ok(qp, message, payload, reply_span)
+            if reply_span is not span:
+                reply_span.finish("degraded", nbytes=payload.size)
+            return payload
         finally:
-            reply_matcher.release(d_buf)
+            if landed is not None:
+                api.dev_free(landed)
             if d_out is not None:
                 api.dev_free(d_out)
 
@@ -624,12 +470,8 @@ class _SplitReplyMatcher:
         return event
 
     def forget(self, request_id: int) -> None:
-        """Drop interest in a reply (the miss path won the race)."""
+        """Drop interest in a reply (the control path or the time-out won)."""
         self._waiting.pop(request_id, None)
-
-    def release(self, d_buf: typing.Any) -> None:
-        """Return a delivered reply's device buffer to the allocator."""
-        self.tier.api.dev_free(d_buf)
 
     def _post(self) -> None:
         api = self.tier.api

@@ -117,14 +117,7 @@ class AcceleratorMiddleTier(MiddleTierServer):
         if traffic.dram_read:
             yield self.memory.read(traffic.dram_read)
         yield self.fpga_pcie.dma_read(payload.size)
-        slot = self.engine.request()
-        yield slot
-        try:
-            yield self.sim.timeout(self._engine_profile.occupancy_time(payload.size))
-        finally:
-            self.engine.release(slot)
-        if self._engine_profile.setup_time:
-            yield self.sim.timeout(self._engine_profile.setup_time)
+        yield from self._engine_pass(self.engine, self._engine_profile, payload.size)
         outgoing = compress_payload(payload)
         yield self.fpga_pcie.dma_write(outgoing.size)
         traffic = self.llc.dma_write(
@@ -140,13 +133,6 @@ class AcceleratorMiddleTier(MiddleTierServer):
         if traffic.dram_read:
             yield self.memory.read(traffic.dram_read)
         yield self.fpga_pcie.dma_read(payload.size)
-        slot = self.engine.request()
-        yield slot
-        try:
-            yield self.sim.timeout(self._engine_profile.occupancy_time(payload.size))
-        finally:
-            self.engine.release(slot)
-        if self._engine_profile.setup_time:
-            yield self.sim.timeout(self._engine_profile.setup_time)
+        yield from self._engine_pass(self.engine, self._engine_profile, payload.size)
         original = payload.original_size or payload.size
         yield self.fpga_pcie.dma_write(original)

@@ -29,7 +29,7 @@ from repro.net.message import Message, Payload, decompress_payload
 from repro.net.roce import QueuePair, RoceEndpoint
 from repro.params import PlatformSpec
 from repro.sim.events import AnyOf, Event
-from repro.sim.resources import Store
+from repro.sim.resources import Resource, Store
 from repro.telemetry.flight import FlightRecorder
 from repro.telemetry.metrics import Counter, LatencyRecorder
 from repro.telemetry.registry import registry_for
@@ -37,6 +37,7 @@ from repro.telemetry.slo import SLOMonitor, slo_monitor_for
 from repro.units import msec
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.compression.model import CompressorProfile
     from repro.sim.kernel import Simulator
     from repro.storage.server import StorageServer
 
@@ -265,6 +266,21 @@ class MiddleTierServer(abc.ABC):
         return
         yield  # pragma: no cover - generator form
 
+    def _engine_pass(
+        self, engine: Resource, profile: "CompressorProfile", nbytes: int
+    ) -> typing.Generator:
+        """Stream `nbytes` through one slot of a hardware `engine`: hold
+        the slot for the profile's occupancy, then pay its (pipelined)
+        setup latency outside it."""
+        slot = engine.request()
+        yield slot
+        try:
+            yield self.sim.timeout(profile.occupancy_time(nbytes))
+        finally:
+            engine.release(slot)
+        if profile.setup_time:
+            yield self.sim.timeout(profile.setup_time)
+
     # -- wiring ------------------------------------------------------------
 
     client_endpoint: RoceEndpoint
@@ -287,7 +303,9 @@ class MiddleTierServer(abc.ABC):
         ignored by single-port ones.
         """
         qp = client_endpoint.connect(self._endpoint_for_port(port_index))
-        self.sim.process(self._dispatch(qp.peer), name=f"{self.address}.dispatch", daemon=True)
+        self.sim.process(
+            self._dispatch(qp.peer, port_index), name=f"{self.address}.dispatch", daemon=True
+        )
         return qp
 
     def _endpoint_for_port(self, port_index: int) -> RoceEndpoint:
@@ -295,9 +313,12 @@ class MiddleTierServer(abc.ABC):
             raise ValueError(f"{self.design_name} has a single port; got index {port_index}")
         return self.client_endpoint
 
-    def _dispatch(self, qp: QueuePair) -> typing.Generator:
+    def _dispatch(self, qp: QueuePair, port_index: int) -> typing.Generator:
         while True:
             message: Message = yield qp.recv()
+            # Multi-port designs keep a request's storage traffic on the
+            # port it arrived on (see _storage_link_for).
+            message.header["arrival_port"] = port_index
             if self._bounce_if_misrouted(qp, message):
                 continue
             if self._admit(qp, message):
@@ -522,78 +543,70 @@ class MiddleTierServer(abc.ABC):
         excluded.discard(server.address)
         while True:
             attempts += 1
-            if self.admission is not None and not self.admission.allow_server(
+            # Circuit open: the attempt is doomed — don't burn a full
+            # time-out on it. Release the claim we hold and fail over
+            # immediately, bounded by the same attempt budget.
+            short_circuit = self.admission is not None and not self.admission.allow_server(
                 server.address
-            ):
-                # Circuit open: the attempt is doomed — don't burn a full
-                # time-out on it. Release the claim we hold and fail over
-                # immediately, bounded by the same attempt budget.
+            )
+            if short_circuit:
                 self.testbed.policy.complete(server)
                 if span is not None:
                     span.event(
                         "write.short-circuit", outcome="retried", server=server.address
                     )
-                excluded.add(server.address)
-                if policy.attempts_exhausted(attempts) or attempts > len(
-                    self.testbed.storage_servers
-                ):
-                    if span is not None:
-                        span.finish("failed", attempts=attempts)
-                    raise RuntimeError(
-                        f"write of {message.header} short-circuited on every server"
-                    )
-                server = self._choose_replacement(excluded)
-                continue
-            qp, matcher = self._storage_link_for(server, message)
-            store_msg = Message(
-                kind="storage_write",
-                src=self.address,
-                dst=server.address,
-                header_size=message.header_size,
-                payload=payload,
-                header={
-                    "chunk_id": message.header.get("chunk_id", 0),
-                    "block_id": message.header.get("block_id", 0),
-                },
-            )
-            attempt_span = None
-            if span is not None:
-                attempt_span = span.child(
-                    "write.attempt", server=server.address, attempt=attempts
+            else:
+                qp, matcher = self._storage_link_for(server, message)
+                store_msg = Message(
+                    kind="storage_write",
+                    src=self.address,
+                    dst=server.address,
+                    header_size=message.header_size,
+                    payload=payload,
+                    header={
+                        "chunk_id": message.header.get("chunk_id", 0),
+                        "block_id": message.header.get("block_id", 0),
+                    },
                 )
-                store_msg.span = attempt_span
-            ack_event = matcher.expect(store_msg.request_id)
-            try:
-                yield qp.send(store_msg)
-                deadline = self.sim.timeout(policy.timeout_for(attempts))
-                yield AnyOf(self.sim, [ack_event, deadline])
-            finally:
-                self.testbed.policy.complete(server)
-                if not ack_event.triggered:
-                    # Expected late arrival, not a leak (§2.2.3 time-out).
-                    matcher.forget(store_msg.request_id)
-            if ack_event.triggered:
-                ack: Message = ack_event.value
+                attempt_span = None
+                if span is not None:
+                    attempt_span = span.child(
+                        "write.attempt", server=server.address, attempt=attempts
+                    )
+                    store_msg.span = attempt_span
+                ack_event = matcher.expect(store_msg.request_id)
+                timeout = policy.timeout_for(attempts)
+                try:
+                    yield qp.send(store_msg)
+                    yield AnyOf(self.sim, [ack_event, self.sim.timeout(timeout)])
+                finally:
+                    self.testbed.policy.complete(server)
+                    if not ack_event.triggered:
+                        # Expected late arrival, not a leak (§2.2.3 time-out).
+                        matcher.forget(store_msg.request_id)
+                if ack_event.triggered:
+                    ack: Message = ack_event.value
+                    if self.admission is not None:
+                        self.admission.record_server_success(server.address)
+                    if attempt_span is not None:
+                        attempt_span.finish("ok", nbytes=payload.size)
+                    return (server.address, ack.header.get("location", -1))
+                # Timed out: pick a replacement and retry (§2.2.3 fail-over).
                 if self.admission is not None:
-                    self.admission.record_server_success(server.address)
+                    self.admission.record_server_failure(server.address)
                 if attempt_span is not None:
-                    attempt_span.finish("ok", nbytes=payload.size)
-                return (server.address, ack.header.get("location", -1))
-            # Timed out: pick a replacement and retry (§2.2.3 fail-over).
-            if self.admission is not None:
-                self.admission.record_server_failure(server.address)
-            if attempt_span is not None:
-                attempt_span.finish("retried", timeout=policy.timeout_for(attempts))
-            self.failovers.add()
+                    attempt_span.finish("retried", timeout=timeout)
+                self.failovers.add()
             excluded.add(server.address)
             if policy.attempts_exhausted(attempts) or attempts > len(
                 self.testbed.storage_servers
             ):
                 if span is not None:
                     span.finish("failed", attempts=attempts)
-                raise RuntimeError(f"write to {store_msg.header} failed on every server")
+                outcome = "short-circuited" if short_circuit else "failed"
+                raise RuntimeError(f"write of {message.header} {outcome} on every server")
             server = self._choose_replacement(excluded)
-            backoff = policy.backoff_before(attempts + 1, token)
+            backoff = 0.0 if short_circuit else policy.backoff_before(attempts + 1, token)
             if backoff > 0:
                 yield self.sim.timeout(backoff)
 
@@ -696,15 +709,17 @@ class MiddleTierServer(abc.ABC):
     ) -> typing.Generator:
         """Fetch a replica with time-out driven fail-over, then reply.
 
-        Never blocks forever: each fetch races a per-attempt time-out
-        (the matcher forgets expired requests), fail-over rotates
-        through the whole replica set, and once the policy's attempt
-        budget or deadline runs out the VM gets ``status="unavailable"``
-        instead of silence.
+        The one read loop of every design. Never blocks forever: each
+        fetch races a per-attempt time-out (the losing matchers forget
+        the request), fail-over rotates through the whole replica set,
+        and once the policy's attempt budget or deadline runs out the VM
+        gets ``status="unavailable"`` instead of silence.
 
         With a cache attached, a hit replies straight from device
         memory — no storage round trip, no failover; a miss takes the
         path below and then offers the fetched block for admission.
+        Designs differ only in the fetch hook (:meth:`_send_fetch`,
+        :meth:`_take_fetch`) and the landing hook (:meth:`_land_reply`).
         """
         started = self.sim.now
         key = (message.header.get("chunk_id", 0), message.header.get("block_id", 0))
@@ -714,20 +729,15 @@ class MiddleTierServer(abc.ABC):
             entry = self.cache.lookup(key)
             if entry is not None:
                 hit_span = None if parent is None else parent.child("cache.hit")
+                # The entry stays pinned across the landing hook's yields, so
+                # a concurrent invalidation or shed defers its buffer free to
+                # this release instead of yanking it mid-decompress.
                 try:
-                    payload = entry.payload
-                    if payload.is_compressed:
-                        dec_span = None if hit_span is None else hit_span.child("decompress")
-                        yield from self._decompress_cost(worker_index, payload)
-                        payload = decompress_payload(payload)
-                        if dec_span is not None:
-                            dec_span.finish(nbytes=payload.size)
+                    payload = yield from self._land_reply(
+                        worker_index, qp, message, entry.payload, hit_span, None, entry
+                    )
                 finally:
                     self.cache.release(entry)
-                response = message.reply("read_reply", status="ok")
-                response.payload = payload
-                response.span = hit_span
-                yield qp.send(response)
                 if hit_span is not None:
                     hit_span.finish(nbytes=payload.size)
                 self._complete(message, nbytes=payload.size)
@@ -740,51 +750,30 @@ class MiddleTierServer(abc.ABC):
             if self._fill_allowed():
                 fill_token = self.cache.begin_fill(key)
         locations = self._block_locations.get(key)
-        if not locations:
-            if parent is not None:
-                parent.event("read.not_found", outcome="failed")
-            self._release_admission(message)
-            if self._slo_monitors:
-                self._observe_completion(
-                    message, "not_found", latency=self.sim.now - started
-                )
-            yield qp.send(message.reply("read_reply", status="not_found"))
-            return
         policy = self.read_retry
         token = self._retry_token(message)
-        start = self.sim.now
         attempts = 0
-        stored: Message | None = None
-        while stored is None:
+        fetched: tuple[Message, typing.Any] | None = None
+        while locations and fetched is None:
             address = self._read_replica_for(locations, attempts)
             if (
                 address is None
                 or policy.attempts_exhausted(attempts)
-                or policy.deadline_expired(self.sim.now - start)
+                or policy.deadline_expired(self.sim.now - started)
             ):
                 self.reads_unavailable.add()
-                self._release_admission(message)
-                if self._slo_monitors:
-                    self._observe_completion(
-                        message, "unavailable", latency=self.sim.now - started
-                    )
                 unavail_span = None
                 if parent is not None:
                     unavail_span = parent.child(
                         "read.unavailable", attempts=attempts, **policy.describe()
                     )
-                response = message.reply("read_reply", status="unavailable")
-                response.span = unavail_span
-                yield qp.send(response)
-                if unavail_span is not None:
-                    unavail_span.finish("failed")
+                yield from self._finish(qp, message, "unavailable", started, unavail_span)
                 return
             attempts += 1
             backoff = policy.backoff_before(attempts, token)
             if backoff > 0:
                 yield self.sim.timeout(backoff)
             server = self.testbed.server(address)
-            storage_qp, matcher = self._storage_link_for(server, message)
             fetch = Message(
                 kind="storage_read",
                 src=self.address,
@@ -796,51 +785,136 @@ class MiddleTierServer(abc.ABC):
             if parent is not None:
                 attempt_span = parent.child("read.attempt", server=address, attempt=attempts)
                 fetch.span = attempt_span
-            reply_event = matcher.expect(fetch.request_id)
-            yield storage_qp.send(fetch)
-            deadline = self.sim.timeout(policy.timeout_for(attempts, self.sim.now - start))
-            yield AnyOf(self.sim, [reply_event, deadline])
-            if reply_event.triggered:
-                stored = reply_event.value
+            events = yield from self._send_fetch(server, message, fetch)
+            # One time-out per attempt: the deadline and the span agree.
+            timeout = policy.timeout_for(attempts, self.sim.now - started)
+            yield AnyOf(self.sim, [*events, self.sim.timeout(timeout)])
+            fetched = self._take_fetch(server, message, fetch, events, attempt_span)
+            if fetched is not None:
                 if self.admission is not None:
-                    self.admission.record_server_success(server.address)
-                if attempt_span is not None:
-                    attempt_span.finish("ok", nbytes=stored.payload_size)
-            else:
-                matcher.forget(fetch.request_id)
-                if self.admission is not None:
-                    self.admission.record_server_failure(server.address)
-                self.read_failovers.add()
-                if attempt_span is not None:
-                    attempt_span.finish(
-                        "retried", timeout=policy.timeout_for(attempts, self.sim.now - start)
-                    )
-        if stored.kind != "storage_read_reply" or stored.payload is None:
+                    self.admission.record_server_success(address)
+                break
+            # Timed out: rotate to the next replica (§2.2.3 fail-over).
+            if self.admission is not None:
+                self.admission.record_server_failure(address)
+            self.read_failovers.add()
+            if attempt_span is not None:
+                attempt_span.finish("retried", timeout=timeout)
+        stored, landed = fetched or (None, None)
+        # A data-less reply is header-only, so it never lands in a
+        # design-owned buffer: nothing to release on this exit.
+        if stored is None or stored.kind != "storage_read_reply" or stored.payload is None:
             if parent is not None:
                 parent.event("read.not_found", outcome="failed")
-            self._release_admission(message)
-            if self._slo_monitors:
-                self._observe_completion(
-                    message, "not_found", latency=self.sim.now - started
-                )
-            yield qp.send(message.reply("read_reply", status="not_found"))
+            yield from self._finish(qp, message, "not_found", started)
             return
-        payload = stored.payload
         if self.cache is not None and fill_token is not None:
             # Admission decision on the fetched (still compressed) block.
-            admitted = self.cache.offer(key, payload, fill_token)
+            admitted = self.cache.offer(key, stored.payload, fill_token)
             if parent is not None:
                 parent.event("cache.fill", admitted=admitted)
+        payload = yield from self._land_reply(
+            worker_index, qp, message, stored.payload, parent, landed
+        )
+        self._complete(message, nbytes=payload.size)
+        if self.cache is not None:
+            self.cache_miss_latency.record(self.sim.now - started)
+
+    def _finish(
+        self,
+        qp: QueuePair,
+        message: Message,
+        status: str,
+        started: float,
+        span: typing.Any = None,
+    ) -> typing.Generator:
+        """The one exit of a read that ends without data.
+
+        Returns the admission credit, feeds the SLO monitors, sends the
+        `status` reply, and closes `span` (the give-up span, if any)
+        once the reply is on the wire.
+        """
+        self._release_admission(message)
+        if self._slo_monitors:
+            self._observe_completion(message, status, latency=self.sim.now - started)
+        response = message.reply("read_reply", status=status)
+        response.span = span
+        yield qp.send(response)
+        if span is not None:
+            span.finish("failed")
+
+    # -- read hooks: where the reply lands and who decompresses it ----------
+
+    def _send_fetch(
+        self, server: "StorageServer", message: Message, fetch: Message
+    ) -> typing.Generator:
+        """Fetch hook, send step: expect the reply to `fetch` and send it.
+
+        Returns the events the read loop races against the attempt's
+        time-out.
+        """
+        storage_qp, matcher = self._storage_link_for(server, message)
+        reply_event = matcher.expect(fetch.request_id)
+        yield storage_qp.send(fetch)
+        return [reply_event]
+
+    def _take_fetch(
+        self,
+        server: "StorageServer",
+        message: Message,
+        fetch: Message,
+        events: list[Event],
+        span: typing.Any,
+    ) -> tuple[Message, typing.Any] | None:
+        """Fetch hook, classify step, after the race.
+
+        Returns ``(reply, landed)`` and finishes the attempt `span` when
+        a reply won; `landed` is a design-owned buffer holding the
+        payload, which the landing hook releases (``None`` here: the
+        payload is in host memory). Returns ``None`` on a time-out. The
+        losing matchers forget the request either way.
+        """
+        (reply_event,) = events
+        if not reply_event.triggered:
+            self._storage_link_for(server, message)[1].forget(fetch.request_id)
+            return None
+        reply: Message = reply_event.value
+        if span is not None:
+            span.finish("ok", nbytes=reply.payload_size)
+        return reply, None
+
+    def _land_reply(
+        self,
+        worker_index: int,
+        qp: QueuePair,
+        message: Message,
+        payload: Payload,
+        span: typing.Any,
+        landed: typing.Any,
+        entry: typing.Any = None,
+    ) -> typing.Generator:
+        """Landing hook: decompress a fetched or cached `payload` and
+        send the ok reply, carrying `span`; returns the reply payload.
+
+        `landed` is the fetch hook's buffer (the hook releases it);
+        `entry` is the pinned cache entry on a hit (the read loop
+        releases it). This default charges :meth:`_decompress_cost` and
+        decompresses in software.
+        """
         if payload.is_compressed:
-            dec_span = None if parent is None else parent.child("decompress")
+            dec_span = None if span is None else span.child("decompress")
             yield from self._decompress_cost(worker_index, payload)
             payload = decompress_payload(payload)
             if dec_span is not None:
                 dec_span.finish(nbytes=payload.size)
+        yield from self._send_ok(qp, message, payload, span)
+        return payload
+
+    @staticmethod
+    def _send_ok(
+        qp: QueuePair, message: Message, payload: Payload, span: typing.Any
+    ) -> typing.Generator:
         response = message.reply("read_reply", status="ok")
         response.payload = payload
-        response.span = parent
+        response.span = span
         yield qp.send(response)
-        self._complete(message, nbytes=payload.size)
-        if self.cache is not None:
-            self.cache_miss_latency.record(self.sim.now - started)

@@ -40,7 +40,53 @@ class DeviceMemoryDatapath(Datapath):
         return None
 
 
-class BlueField2MiddleTier(MiddleTierServer):
+class OnBoardEngineTier(MiddleTierServer):
+    """Engine datapath shared by the designs whose payloads stay in
+    on-board device memory and compress on the card's engine pool:
+    BF2 and FPGA-only. They differ in who parses the header.
+
+    A subclass's ``_build`` creates ``device_memory`` and ``engine`` (a
+    :class:`Resource` of engine slots); its ``__init__`` sets the engine
+    profile and the header parse time.
+    """
+
+    _engine_profile: CompressorProfile
+    _parse_time: float
+
+    def _handle_write(
+        self, worker_index: int, qp: QueuePair, message: Message
+    ) -> typing.Generator:
+        if message.payload is None:
+            raise ValueError("write_request without payload")
+        # Parse the header in place (a few bytes of device memory), hand
+        # the block to the engine pool, and move on to the next message.
+        yield self.sim.timeout(self._parse_time)
+        self.sim.process(self._compress_and_complete(qp, message))
+
+    def _compress_and_complete(self, qp: QueuePair, message: Message) -> typing.Generator:
+        payload = message.payload
+        if message.header.get("latency_sensitive") or not self._compression_allowed():
+            outgoing = payload
+        else:
+            outgoing = yield self.sim.process(self._engine_compress(payload))
+        self._spawn_completion(qp, message, outgoing)
+
+    def _engine_compress(self, payload: Payload) -> typing.Generator:
+        """Off-path engine: device-memory read, compress, device-memory
+        write (§3.4's passes)."""
+        yield self.device_memory.read(payload.size)
+        yield from self._engine_pass(self.engine, self._engine_profile, payload.size)
+        outgoing = compress_payload(payload)
+        yield self.device_memory.write(outgoing.size)
+        return outgoing
+
+    def _decompress_cost(self, worker_index: int, payload: Payload) -> typing.Generator:
+        yield self.device_memory.read(payload.size)
+        yield from self._engine_pass(self.engine, self._engine_profile, payload.size)
+        yield self.device_memory.write(payload.original_size or payload.size)
+
+
+class BlueField2MiddleTier(OnBoardEngineTier):
     """The paper's "BF2" baseline: SoC SmartNIC with on-board engine."""
 
     design_name = "BF2"
@@ -59,6 +105,7 @@ class BlueField2MiddleTier(MiddleTierServer):
         if n_workers > arm_cores:
             raise ValueError(f"BlueField-2 has {arm_cores} Arm cores, asked for {n_workers}")
         self._engine_profile = engine_profile
+        self._parse_time = testbed.platform.bluefield2.arm_parse_time  # Arm core
         super().__init__(sim, testbed, n_workers, address=address)
 
     def _build(self) -> None:
@@ -80,51 +127,6 @@ class BlueField2MiddleTier(MiddleTierServer):
         self.engine = Resource(self.sim, capacity=1, name=f"{self.address}.engine")
         self.client_endpoint = endpoint
         self.storage_endpoint = endpoint
-
-    def _handle_write(
-        self, worker_index: int, qp: QueuePair, message: Message
-    ) -> typing.Generator:
-        if message.payload is None:
-            raise ValueError("write_request without payload")
-        # The Arm core parses the header (it reads it from device DDR,
-        # negligible bytes) and posts the engine descriptor.
-        yield self.sim.timeout(self.platform.bluefield2.arm_parse_time)
-        self.sim.process(self._compress_and_complete(qp, message))
-
-    def _compress_and_complete(self, qp: QueuePair, message: Message) -> typing.Generator:
-        payload = message.payload
-        if message.header.get("latency_sensitive") or not self._compression_allowed():
-            outgoing = payload
-        else:
-            outgoing = yield self.sim.process(self._engine_compress(payload))
-        self._spawn_completion(qp, message, outgoing)
-
-    def _engine_compress(self, payload: Payload) -> typing.Generator:
-        """Off-path engine: DDR read, compress, DDR write (§3.4's passes)."""
-        yield self.device_memory.read(payload.size)
-        slot = self.engine.request()
-        yield slot
-        try:
-            yield self.sim.timeout(self._engine_profile.occupancy_time(payload.size))
-        finally:
-            self.engine.release(slot)
-        if self._engine_profile.setup_time:
-            yield self.sim.timeout(self._engine_profile.setup_time)
-        outgoing = compress_payload(payload)
-        yield self.device_memory.write(outgoing.size)
-        return outgoing
-
-    def _decompress_cost(self, worker_index: int, payload: Payload) -> typing.Generator:
-        yield self.device_memory.read(payload.size)
-        slot = self.engine.request()
-        yield slot
-        try:
-            yield self.sim.timeout(self._engine_profile.occupancy_time(payload.size))
-        finally:
-            self.engine.release(slot)
-        if self._engine_profile.setup_time:
-            yield self.sim.timeout(self._engine_profile.setup_time)
-        yield self.device_memory.write(payload.original_size or payload.size)
 
 
 class BlueField3MiddleTier(MiddleTierServer):

@@ -16,16 +16,21 @@ from repro.cache import HotBlockCache
 from repro.core import SmartDsMiddleTier
 from repro.core.device import DeviceMemoryAllocator
 from repro.middletier import (
+    AcceleratorMiddleTier,
+    BlueField2MiddleTier,
     CpuOnlyMiddleTier,
     HeartbeatMonitor,
+    NaiveFpgaMiddleTier,
     ResponseMatcher,
     RetryPolicy,
     Testbed,
 )
+from repro.middletier.soc_smartnic import BlueField3MiddleTier
 from repro.net import Message, NetworkPort, RoceEndpoint
 from repro.net.message import Payload
 from repro.params import CacheSpec, NetworkSpec, RecoverySpec
 from repro.sim import Simulator
+from repro.telemetry.spans import SpanCollector
 from repro.units import gbps, kib, msec, usec
 from repro.workloads import ClientDriver, WriteRequestFactory
 
@@ -246,11 +251,30 @@ def _write_then_locate(sim, tier, testbed, n_writes=8, concurrency=4, seed=1):
     return driver, tier._block_locations[(0, 0)]
 
 
+#: Every design the base class's read loop serves.
+READ_TIERS = [
+    lambda sim, testbed: CpuOnlyMiddleTier(sim, testbed, n_workers=2),
+    lambda sim, testbed: AcceleratorMiddleTier(sim, testbed, n_workers=2),
+    lambda sim, testbed: BlueField2MiddleTier(sim, testbed, n_workers=2),
+    lambda sim, testbed: NaiveFpgaMiddleTier(sim, testbed, n_workers=1),
+    lambda sim, testbed: BlueField3MiddleTier(sim, testbed),
+    lambda sim, testbed: SmartDsMiddleTier(sim, testbed, n_ports=1),
+]
+READ_TIER_IDS = ["cpu-only", "acc", "bf2", "fpga-only", "bf3", "smartds"]
+
+
+def _read_trace(collector):
+    """(root span, every span) of the one traced read request."""
+    read_ids = [
+        tid for tid in collector.trace_ids
+        if collector.root(tid) is not None and collector.root(tid).name == "read_request"
+    ]
+    assert len(read_ids) == 1
+    return collector.root(read_ids[0]), collector.trace(read_ids[0])
+
+
 class TestReadFailover:
-    @pytest.mark.parametrize("tier_factory", [
-        lambda sim, testbed: CpuOnlyMiddleTier(sim, testbed, n_workers=2),
-        lambda sim, testbed: SmartDsMiddleTier(sim, testbed, n_ports=1),
-    ], ids=["cpu-only", "smartds"])
+    @pytest.mark.parametrize("tier_factory", READ_TIERS, ids=READ_TIER_IDS)
     def test_read_survives_primary_replica_failure(self, tier_factory):
         sim = Simulator()
         testbed = Testbed(sim, n_storage_servers=5)
@@ -265,10 +289,7 @@ class TestReadFailover:
         assert tier.reads_unavailable.value == 0
         sim.run()  # full drain: the conftest audit proves nothing stranded
 
-    @pytest.mark.parametrize("tier_factory", [
-        lambda sim, testbed: CpuOnlyMiddleTier(sim, testbed, n_workers=2),
-        lambda sim, testbed: SmartDsMiddleTier(sim, testbed, n_ports=1),
-    ], ids=["cpu-only", "smartds"])
+    @pytest.mark.parametrize("tier_factory", READ_TIERS, ids=READ_TIER_IDS)
     def test_read_with_all_replicas_down_degrades_to_unavailable(self, tier_factory):
         sim = Simulator()
         testbed = Testbed(sim, n_storage_servers=5)
@@ -284,6 +305,58 @@ class TestReadFailover:
         assert tier.reads_unavailable.value == 1
         assert sim.now - start <= tier.read_retry.deadline + msec(1)
         sim.run()  # no stranded _fetch_and_reply process may survive this
+
+    @pytest.mark.parametrize("tier_factory", READ_TIERS, ids=READ_TIER_IDS)
+    def test_read_of_a_record_gone_from_every_replica_is_not_found(self, tier_factory):
+        """The tier still knows the block's locations, but every
+        replica's record was garbage-collected: a storage miss, answered
+        ``not_found`` and marked on the root span on every design."""
+        sim = Simulator()
+        collector = SpanCollector(sim)
+        testbed = Testbed(sim, n_storage_servers=5)
+        tier = tier_factory(sim, testbed)
+        driver, locations = _write_then_locate(sim, tier, testbed)
+        for address in locations:
+            store = testbed.server(address).store
+            while (record := store.latest(0, 0)) is not None:
+                store.mark_dead(record.location)
+            store.gc(0)
+
+        result = sim.run(until=driver.run_reads([0], concurrency=1))
+        sim.run()
+        assert result.failures == ((0, "not_found"),)
+        assert result.payload_bytes == 0
+        assert tier.reads_unavailable.value == 0
+        root, spans = _read_trace(collector)
+        assert root.outcome == "failed"
+        assert [s.outcome for s in spans if s.name == "read.not_found"] == ["failed"]
+
+    @pytest.mark.parametrize("tier_factory", READ_TIERS, ids=READ_TIER_IDS)
+    def test_retried_attempt_span_records_the_timeout_it_waited(self, tier_factory):
+        """With the deadline clipping the later attempts, each retried
+        span's ``timeout`` is the budget its time-out actually ran for:
+        its duration, less the fetch's time on the wire."""
+        sim = Simulator()
+        collector = SpanCollector(sim)
+        testbed = Testbed(sim, n_storage_servers=5)
+        tier = tier_factory(sim, testbed)
+        driver, locations = _write_then_locate(sim, tier, testbed)
+        tier.read_retry = RetryPolicy(
+            attempt_timeout=msec(1), deadline=msec(2.5), max_attempts=4, jitter=0.0
+        )
+        for address in locations:
+            testbed.server(address).fail()
+
+        sim.run(until=driver.run_reads([0], concurrency=1))
+        sim.run()
+        _root, spans = _read_trace(collector)
+        attempts = [s for s in spans if s.name == "read.attempt"]
+        assert len(attempts) == 3  # the deadline, not the budget, ended the read
+        assert all(s.outcome == "retried" for s in attempts)
+        assert attempts[-1].attrs["timeout"] < msec(1)  # clipped by the deadline
+        for span in attempts:
+            send_time = span.duration - span.attrs["timeout"]
+            assert 0.0 <= send_time < usec(10), (span.attrs, span.duration)
 
     def test_suspected_replicas_short_circuit_to_unavailable(self):
         sim = Simulator()
@@ -588,6 +661,37 @@ class TestGracefulDegradation:
         assert result.requests == 24
         assert tier.device.host_path_fallbacks.value > 0
         assert tier.requests_degraded.value > 0
+
+
+class TestDegradedReads:
+    def test_raw_block_read_under_hbm_pressure_does_not_wait_for_a_buffer(self):
+        """An uncompressed block needs no HBM output buffer, so reading
+        one above the allocator's high watermark must not sit out the
+        bounded ``degraded_alloc_wait`` for a buffer it never uses."""
+        sim = Simulator()
+        testbed = Testbed(sim, n_storage_servers=5)
+        tier = SmartDsMiddleTier(sim, testbed, n_ports=1)
+        driver = ClientDriver(
+            sim,
+            tier,
+            WriteRequestFactory(testbed.platform, seed=1, latency_sensitive_fraction=1.0),
+            concurrency=1,
+            warmup_fraction=0.0,
+        )
+        sim.run(until=driver.run(2))  # two raw (latency-sensitive) blocks
+        # A first read posts the split-reply descriptors while HBM is free.
+        sim.run(until=driver.run_reads([0], concurrency=1))
+        allocator = tier.device.allocator
+        hog = allocator.alloc(allocator.admission_limit - allocator.allocated + 1)
+        deferred = allocator.alloc_deferred.value
+
+        start = sim.now
+        result = sim.run(until=driver.run_reads([1], concurrency=1))
+        assert result.payload_bytes == testbed.platform.workload.block_size
+        assert allocator.alloc_deferred.value == deferred
+        assert sim.now - start < testbed.platform.recovery.degraded_alloc_wait
+        allocator.free(hog)
+        sim.run()
 
 
 class TestChaosExperimentCell:
