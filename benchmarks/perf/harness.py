@@ -74,9 +74,7 @@ def bench_kernel(quick: bool) -> dict:
     """Events/sec through ``Simulator.step`` for two canonical shapes.
 
     ``timeout_fanout`` drains a pre-scheduled batch of timeouts (pure
-    heap + callback cost); ``timeout_batch_fanout`` schedules the same
-    storm through :meth:`Simulator.timeout_batch` (one heapify instead
-    of one sift per event); ``process_chain`` runs generator processes
+    heap + callback cost); ``process_chain`` runs generator processes
     each yielding a run of timeouts (adds Process resume cost — the
     shape model code actually has).
     """
@@ -92,24 +90,6 @@ def bench_kernel(quick: bool) -> dict:
         sim.run()
         return sim.steps
 
-    def timeout_batch_fanout() -> int:
-        sim = Simulator()
-        sim.timeout_batch(delays)
-        sim.run()
-        return sim.steps
-
-    # Schedule-phase-only bodies for schedule_speedup: the drain is
-    # identical either way and ~5x the schedule cost, so timing whole
-    # runs would bury the difference in noise around 1.0.
-    def fanout_schedule() -> None:
-        sim = Simulator()
-        for delay in delays:
-            sim.timeout(delay)
-
-    def batch_schedule() -> None:
-        sim = Simulator()
-        sim.timeout_batch(delays)
-
     def process_chain() -> int:
         sim = Simulator()
 
@@ -124,28 +104,14 @@ def bench_kernel(quick: bool) -> dict:
 
     repeats = 3 if quick else 5
     fanout_steps = timeout_fanout()
-    batch_steps = timeout_batch_fanout()
     chain_steps = process_chain()
-    best = _interleaved_best(
-        {"fanout": timeout_fanout, "batch": timeout_batch_fanout}, repeats
-    )
-    fanout_s = best["fanout"]
-    batch_s = best["batch"]
-    sched = _interleaved_best(
-        {"fanout": fanout_schedule, "batch": batch_schedule}, repeats
-    )
+    fanout_s = _best_of(timeout_fanout, repeats)
     chain_s = _best_of(process_chain, repeats)
     return {
         "timeout_fanout": {
             "events": fanout_steps,
             "seconds": fanout_s,
             "events_per_sec": fanout_steps / fanout_s,
-        },
-        "timeout_batch_fanout": {
-            "events": batch_steps,
-            "seconds": batch_s,
-            "events_per_sec": batch_steps / batch_s,
-            "schedule_speedup": sched["fanout"] / sched["batch"],
         },
         "process_chain": {
             "events": chain_steps,

@@ -38,7 +38,6 @@ BENCH_SPEC: dict = {
     },
     "kernel": {
         "timeout_fanout": _TIMING,
-        "timeout_batch_fanout": dict(_TIMING, schedule_speedup=_NUMBER),
         "process_chain": _TIMING,
     },
     "resource": {

@@ -65,7 +65,7 @@ def main():
     def client():
         qp = vm.queue_pairs[0]
         for block_id, data in enumerate(blocks):
-            yield qp.send(
+            yield from qp.transmit(
                 Message(
                     "write_request",
                     "vm",

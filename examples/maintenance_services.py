@@ -47,7 +47,7 @@ def main():
             message.header["chunk_id"] = 0
             event = sim.event()
             driver._reply_events[message.request_id] = event
-            yield driver.qp.send(message)
+            yield from driver.qp.transmit(message)
             yield event
 
     sim.process(rewriting_client())
@@ -79,7 +79,7 @@ def main():
             message.header["chunk_id"] = 0
             event = sim.event()
             driver._reply_events[message.request_id] = event
-            yield driver.qp.send(message)
+            yield from driver.qp.transmit(message)
             yield event
 
     done = sim.process(trailing_writes())

@@ -91,7 +91,7 @@ def main():
                 payload=Payload.from_bytes(data),
                 header={"vm_id": "vm0", "block_id": block_id, "latency_sensitive": False},
             )
-            yield qp.send(message)
+            yield from qp.transmit(message)
 
     def storage_server():
         qp = storage.queue_pairs[0]

@@ -79,6 +79,7 @@ class HotBlockCache:
         self.spec = spec or CacheSpec(enabled=True)
         self.hbm = hbm
         self.name = name
+        self._fill_name = f"{name}.fill"
         self.limit = self.spec.limit_for(allocator.capacity)
         self.protected_budget = int(self.spec.protected_fraction * self.limit)
         self.sketch = FrequencySketch(
@@ -218,7 +219,8 @@ class HotBlockCache:
         if self._ledger is not None:
             self._ledger.record(f"{self.name}.fill", self.name, size)
         if self.hbm is not None:
-            self.hbm.write(size)  # self-running transfer; charges the HBM port
+            # Fire-and-forget: the fill charges the HBM port on its own.
+            self.sim.process(self.hbm.write(size), name=self._fill_name)
         return True
 
     # -- write-through invalidation -----------------------------------------

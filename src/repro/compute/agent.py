@@ -142,6 +142,6 @@ class StorageAgent:
         reply_event = self.sim.event(name=f"reply:{message.request_id}")
         self._reply_events[message.request_id] = reply_event
         self.requests_routed.add()
-        yield qp.send(message)
+        yield from qp.transmit(message)
         reply = yield reply_event
         return reply

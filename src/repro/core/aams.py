@@ -117,7 +117,7 @@ class AamsDatapath(Datapath):
     """The SmartDS extended-RoCE datapath: Split on ingress, Assemble on egress.
 
     Egress charging covers messages sent directly through
-    ``QueuePair.send`` (the middle tier's control path); the richer
+    ``QueuePair.transmit`` (the middle tier's control path); the richer
     ``dev_mixed_send`` entry point in :mod:`repro.core.api` builds the
     message from explicit buffers and then uses the same machinery.
     """
@@ -140,7 +140,7 @@ class AamsDatapath(Datapath):
             # Header-only control message (storage ack, reply): the RoCE
             # stack surfaces it to the host as a completion-queue entry
             # (RDMA send-with-immediate), not a full DMA of the frame.
-            yield device.pcie.dma_write(device.spec.notify_bytes, flow=message.flow)
+            yield from device.pcie.dma_write(device.spec.notify_bytes, flow=message.flow)
             yield from device.charge_host_header_write(device.spec.notify_bytes)
             return False
         if not self.split.has_descriptor(qp) and self.split.starved(qp):
@@ -154,10 +154,10 @@ class AamsDatapath(Datapath):
             span = None
             if message.span is not None:
                 span = message.span.child("aams.split", path="host")
-            yield device.pcie.dma_write(total, flow=message.flow)
+            yield from device.pcie.dma_write(total, flow=message.flow)
             yield from device.charge_host_header_write(message.header_size)
             if device.host_memory is not None:
-                yield device.host_memory.write(message.payload.size, flow=message.flow)
+                yield from device.host_memory.write(message.payload.size, flow=message.flow)
             device.host_path_fallbacks.add()
             if span is not None:
                 span.finish("degraded", nbytes=total, reason="starved-qp")
@@ -170,12 +170,12 @@ class AamsDatapath(Datapath):
         yield device.sim.timeout(device.spec.split_latency)
         header_bytes = min(descriptor.h_size, message.header_size)
         pcie_span = None if span is None else span.child("pcie.header")
-        yield device.pcie.dma_write(header_bytes, flow=message.flow)
+        yield from device.pcie.dma_write(header_bytes, flow=message.flow)
         yield from device.charge_host_header_write(header_bytes)
         if pcie_span is not None:
             pcie_span.finish(nbytes=header_bytes)
         hbm_span = None if span is None else span.child("hbm.payload")
-        yield device.hbm.write(message.payload.size, flow=message.flow)
+        yield from device.hbm.write(message.payload.size, flow=message.flow)
         if hbm_span is not None:
             hbm_span.finish(nbytes=message.payload.size)
         descriptor.h_buf.content = dict(message.header)
@@ -209,7 +209,7 @@ class AamsDatapath(Datapath):
         else:
             # Miss, unkeyed message, or stale content for this key: fetch
             # the header from host memory and (re)install the entry.
-            yield device.pcie.dma_read(message.header_size, flow=message.flow)
+            yield from device.pcie.dma_read(message.header_size, flow=message.flow)
             yield from device.charge_host_header_read(message.header_size)
             if cache_key[1] is not None:
                 self._header_cache[cache_key] = dict(message.header)
@@ -217,7 +217,7 @@ class AamsDatapath(Datapath):
                 while len(self._header_cache) > self.HEADER_CACHE_LIMIT:
                     self._header_cache.popitem(last=False)
         if message.payload is not None and message.payload.size > 0:
-            yield device.hbm.read(message.payload.size, flow=message.flow)
+            yield from device.hbm.read(message.payload.size, flow=message.flow)
         yield device.sim.timeout(device.spec.split_latency)
         return None
 
@@ -265,8 +265,8 @@ class AssembleModule:
             payload=payload if d_size > 0 else None,
             header=header,
         )
-        # qp.send runs the AamsDatapath egress (PCIe header fetch + HBM
+        # qp.transmit runs the AamsDatapath egress (PCIe header fetch + HBM
         # payload read) before the wire transfer.
-        sent = yield qp.send(message)
-        yield self.device.pcie.dma_write(self.device.spec.notify_bytes)
+        sent = yield from qp.transmit(message)
+        yield from self.device.pcie.dma_write(self.device.spec.notify_bytes)
         return sent

@@ -393,7 +393,7 @@ class SmartDsDevice:
             return
         traffic = self.host_llc.dma_write(nbytes, self.header_ring_bytes)
         if traffic.dram_write:
-            yield self.host_memory.write(traffic.dram_write)
+            yield from self.host_memory.write(traffic.dram_write)
 
     def charge_host_header_read(self, nbytes: int) -> typing.Generator:
         """DRAM cost of the Assemble module fetching a send header."""
@@ -401,4 +401,4 @@ class SmartDsDevice:
             return
         traffic = self.host_llc.dma_read(nbytes, self.header_ring_bytes)
         if traffic.dram_read:
-            yield self.host_memory.read(traffic.dram_read)
+            yield from self.host_memory.read(traffic.dram_read)

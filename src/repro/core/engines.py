@@ -142,7 +142,7 @@ class HardwareEngine:
         if src_size > src.size:
             raise ValueError(f"{self.name}: src_size {src_size} exceeds buffer {src.size}")
         # Fetch input from device memory.
-        yield self.device.hbm.read(src_size, flow=flow)
+        yield from self.device.hbm.read(src_size, flow=flow)
         # Stream through the engine; setup latency pipelines (it delays
         # this block without stalling the next one).
         slot = self._unit.request()
@@ -162,9 +162,9 @@ class HardwareEngine:
                 f"{self.name}: result ({result.size} B) exceeds dest buffer ({dest.size} B)"
             )
         # Write the result back to device memory and notify the host.
-        yield self.device.hbm.write(result.size, flow=flow)
+        yield from self.device.hbm.write(result.size, flow=flow)
         dest.payload = result
-        yield self.device.pcie.dma_write(self.device.spec.notify_bytes)
+        yield from self.device.pcie.dma_write(self.device.spec.notify_bytes)
         self.blocks_processed.add()
         self.bytes_in.add(src_size)
         self.bytes_out.add(result.size)

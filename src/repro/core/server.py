@@ -347,7 +347,7 @@ class SmartDsMiddleTier(MiddleTierServer):
             split_matcher.expect(fetch.request_id),
             control_matcher.expect(fetch.request_id),
         ]
-        yield storage_qp.send(fetch)
+        yield from storage_qp.transmit(fetch)
         return events
 
     def _take_fetch(
@@ -408,7 +408,7 @@ class SmartDsMiddleTier(MiddleTierServer):
                 if span is not None:
                     reply_span = span.child("read.host-path", reason="no-split-descriptor")
                 if payload.is_compressed:
-                    yield self.memory.read(payload.size)
+                    yield from self.memory.read(payload.size)
                     payload = decompress_payload(payload)
             elif payload.is_compressed:
                 d_out = yield from api.dev_alloc_within(
@@ -418,7 +418,7 @@ class SmartDsMiddleTier(MiddleTierServer):
                     # No HBM for the decompressed output: software path.
                     self.reads_degraded.add()
                     sw_span = None if span is None else span.child("decompress.sw")
-                    yield self.memory.read(payload.size)
+                    yield from self.memory.read(payload.size)
                     payload = decompress_payload(payload)
                     if sw_span is not None:
                         sw_span.finish("degraded", nbytes=payload.size)

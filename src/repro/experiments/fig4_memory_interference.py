@@ -58,8 +58,8 @@ def _forwarding_run(
         # memory, read back out, transmit (NIC).
         while True:
             yield rx.transfer(chunk)
-            yield memory.write(chunk)
-            yield memory.read(chunk)
+            yield from memory.write(chunk)
+            yield from memory.read(chunk)
             yield tx.transfer(chunk)
             rdma_meter.record(sim.now, chunk)
 

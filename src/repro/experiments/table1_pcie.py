@@ -38,20 +38,20 @@ def _measure(
 
     def background_reader() -> typing.Generator:
         while True:
-            yield link.dma_read(background_chunk)
+            yield from link.dma_read(background_chunk)
 
     def background_writer() -> typing.Generator:
         while True:
-            yield link.dma_write(background_chunk)
+            yield from link.dma_write(background_chunk)
 
     def prober() -> typing.Generator:
         yield sim.timeout(usec(100))  # let the background reach steady state
         for _ in range(probes):
             start = sim.now
-            yield link.dma_read(kib(4))
+            yield from link.dma_read(kib(4))
             h2d_samples.append(sim.now - start)
             start = sim.now
-            yield link.dma_write(kib(4))
+            yield from link.dma_write(kib(4))
             d2h_samples.append(sim.now - start)
             yield sim.timeout(usec(5))
 

@@ -86,13 +86,13 @@ class MemorySubsystem:
         """
         self._ledgers.append(ledger)
 
-    def read(self, nbytes: int, priority: int = 0, flow: str | None = None) -> typing.Any:
-        """Process: read `nbytes` (chunked)."""
-        return self.sim.process(self._chunked(nbytes, self.read_meter, priority, flow))
+    def read(self, nbytes: int, priority: int = 0, flow: str | None = None) -> typing.Generator:
+        """Read `nbytes` (chunked); a generator leg, run it with ``yield from``."""
+        return self._chunked(nbytes, self.read_meter, priority, flow)
 
-    def write(self, nbytes: int, priority: int = 0, flow: str | None = None) -> typing.Any:
-        """Process: write `nbytes` (chunked)."""
-        return self.sim.process(self._chunked(nbytes, self.write_meter, priority, flow))
+    def write(self, nbytes: int, priority: int = 0, flow: str | None = None) -> typing.Generator:
+        """Write `nbytes` (chunked); a generator leg, run it with ``yield from``."""
+        return self._chunked(nbytes, self.write_meter, priority, flow)
 
     def _chunked(
         self, nbytes: int, meter: BandwidthMeter, priority: int, flow: str | None = None

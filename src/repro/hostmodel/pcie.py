@@ -25,7 +25,6 @@ from repro.telemetry.metrics import BandwidthMeter
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.debug import FaultPlan, FlowLedger
     from repro.sim.kernel import Simulator
-    from repro.sim.process import Process
 
 #: Size of the read-request / completion-credit control leg.
 _CONTROL_BYTES = 64
@@ -58,22 +57,11 @@ class PcieLink:
         # matching how PCIe bandwidth is normally reported.
         self.h2d_meter = BandwidthMeter(f"{name}.h2d")
         self.d2h_meter = BandwidthMeter(f"{name}.d2h")
-        # Rendered once: a DMA process is spawned per transfer leg.
-        self._read_name = f"{name}.read"
-        self._write_name = f"{name}.write"
 
     def attach_ledger(self, ledger: "FlowLedger") -> None:
         """Attach a byte-conservation ledger to both directions."""
         self.h2d.attach_ledger(ledger)
         self.d2h.attach_ledger(ledger)
-
-    def dma_read(self, nbytes: int, priority: int = 0, flow: str | None = None) -> "Process":
-        """Device reads `nbytes` of host memory; fires when all data arrived."""
-        return self.sim.process(self._dma_read(nbytes, priority, flow), name=self._read_name)
-
-    def dma_write(self, nbytes: int, priority: int = 0, flow: str | None = None) -> "Process":
-        """Device writes `nbytes` into host memory; fires when posted upstream."""
-        return self.sim.process(self._dma_write(nbytes, priority, flow), name=self._write_name)
 
     def _stall(self, direction: str) -> typing.Generator:
         """Honor an injected stall window before a leg in `direction`.
@@ -85,7 +73,13 @@ class PcieLink:
         if delay > 0:
             yield self.sim.timeout(delay)
 
-    def _dma_read(self, nbytes: int, priority: int, flow: str | None) -> typing.Generator:
+    def dma_read(
+        self, nbytes: int, priority: int = 0, flow: str | None = None
+    ) -> typing.Generator:
+        """Device reads `nbytes` of host memory; returns once all data arrived.
+
+        A generator leg: run it inline with ``yield from``.
+        """
         # Read request travels upstream first (control, unmetered)...
         if self.fault_plan is not None:
             yield from self._stall("d2h")
@@ -102,7 +96,13 @@ class PcieLink:
             remaining -= step
         return nbytes
 
-    def _dma_write(self, nbytes: int, priority: int, flow: str | None) -> typing.Generator:
+    def dma_write(
+        self, nbytes: int, priority: int = 0, flow: str | None = None
+    ) -> typing.Generator:
+        """Device writes `nbytes` into host memory; returns once posted upstream.
+
+        A generator leg: run it inline with ``yield from``.
+        """
         if self.fault_plan is not None:
             yield from self._stall("d2h")
         yield self.d2h.transfer(max(nbytes, 1), priority=priority, meter=self.d2h_meter, flow=flow)

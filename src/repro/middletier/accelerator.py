@@ -115,24 +115,24 @@ class AcceleratorMiddleTier(MiddleTierServer):
         """Round-trip the payload through the FPGA over its own PCIe link."""
         traffic = self.llc.dma_read(payload.size, self._fpga_read_ws)
         if traffic.dram_read:
-            yield self.memory.read(traffic.dram_read)
-        yield self.fpga_pcie.dma_read(payload.size)
+            yield from self.memory.read(traffic.dram_read)
+        yield from self.fpga_pcie.dma_read(payload.size)
         yield from self._engine_pass(self.engine, self._engine_profile, payload.size)
         outgoing = compress_payload(payload)
-        yield self.fpga_pcie.dma_write(outgoing.size)
+        yield from self.fpga_pcie.dma_write(outgoing.size)
         traffic = self.llc.dma_write(
             outgoing.size, self.platform.workload.intermediate_buffer_bytes
         )
         if traffic.dram_write:
-            yield self.memory.write(traffic.dram_write)
+            yield from self.memory.write(traffic.dram_write)
         return outgoing
 
     def _decompress_cost(self, worker_index: int, payload: Payload) -> typing.Generator:
         """Reads decompress on the engine too (same PCIe round trip)."""
         traffic = self.llc.dma_read(payload.size, self._fpga_read_ws)
         if traffic.dram_read:
-            yield self.memory.read(traffic.dram_read)
-        yield self.fpga_pcie.dma_read(payload.size)
+            yield from self.memory.read(traffic.dram_read)
+        yield from self.fpga_pcie.dma_read(payload.size)
         yield from self._engine_pass(self.engine, self._engine_profile, payload.size)
         original = payload.original_size or payload.size
-        yield self.fpga_pcie.dma_write(original)
+        yield from self.fpga_pcie.dma_write(original)

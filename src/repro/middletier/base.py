@@ -373,7 +373,7 @@ class MiddleTierServer(abc.ABC):
             shed_span.finish("shed")
         if self._slo_monitors:
             self._observe_completion(message, "shed")
-        yield qp.send(reply)
+        yield from qp.transmit(reply)
 
     def _send_wrong_shard(
         self, qp: QueuePair, message: Message, redirect: dict
@@ -399,7 +399,7 @@ class MiddleTierServer(abc.ABC):
             # Monitors ignore routing bounces (IGNORED_STATUSES); fed so
             # a future objective over them sees the full record stream.
             self._observe_completion(message, "wrong_shard")
-        yield qp.send(reply)
+        yield from qp.transmit(reply)
 
     def _release_admission(self, message: Message) -> None:
         """Return the request's credit at a non-ok terminal reply."""
@@ -509,7 +509,7 @@ class MiddleTierServer(abc.ABC):
             )
         reply = message.reply("write_reply", status="ok")
         reply.span = rep_span
-        yield qp.send(reply)
+        yield from qp.transmit(reply)
         if rep_span is not None:
             rep_span.finish(nbytes=payload.size * len(servers))
         self._complete(message)
@@ -577,7 +577,7 @@ class MiddleTierServer(abc.ABC):
                 ack_event = matcher.expect(store_msg.request_id)
                 timeout = policy.timeout_for(attempts)
                 try:
-                    yield qp.send(store_msg)
+                    yield from qp.transmit(store_msg)
                     yield AnyOf(self.sim, [ack_event, self.sim.timeout(timeout)])
                 finally:
                     self.testbed.policy.complete(server)
@@ -839,7 +839,7 @@ class MiddleTierServer(abc.ABC):
             self._observe_completion(message, status, latency=self.sim.now - started)
         response = message.reply("read_reply", status=status)
         response.span = span
-        yield qp.send(response)
+        yield from qp.transmit(response)
         if span is not None:
             span.finish("failed")
 
@@ -855,7 +855,7 @@ class MiddleTierServer(abc.ABC):
         """
         storage_qp, matcher = self._storage_link_for(server, message)
         reply_event = matcher.expect(fetch.request_id)
-        yield storage_qp.send(fetch)
+        yield from storage_qp.transmit(fetch)
         return [reply_event]
 
     def _take_fetch(
@@ -917,4 +917,4 @@ class MiddleTierServer(abc.ABC):
         response = message.reply("read_reply", status="ok")
         response.payload = payload
         response.span = span
-        yield qp.send(response)
+        yield from qp.transmit(response)

@@ -83,10 +83,10 @@ class CpuOnlyMiddleTier(MiddleTierServer):
             profile = self.cpu.compression_profile(worker_index, self.n_workers)
             # The DMA ring is long evicted (§3.2): compression streams the
             # payload from DRAM and writes the result back for NIC egress.
-            yield self.memory.read(payload.size)
+            yield from self.memory.read(payload.size)
             yield self.sim.timeout(profile.time_for(payload.size))
             outgoing = compress_payload(payload)
-            yield self.memory.write(outgoing.size)
+            yield from self.memory.write(outgoing.size)
         posts = self.platform.storage.replication + 1  # replicas + VM ack
         yield self.sim.timeout(host.post_descriptor_time * posts)
         self._spawn_completion(qp, message, outgoing)
@@ -94,6 +94,6 @@ class CpuOnlyMiddleTier(MiddleTierServer):
     def _decompress_cost(self, worker_index: int, payload: Payload) -> typing.Generator:
         profile = self.cpu.compression_profile(worker_index, self.n_workers)
         original = payload.original_size or payload.size
-        yield self.memory.read(payload.size)
+        yield from self.memory.read(payload.size)
         yield self.sim.timeout(original / (profile.rate * _DECOMPRESSION_SPEEDUP))
-        yield self.memory.write(original)
+        yield from self.memory.write(original)

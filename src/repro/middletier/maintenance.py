@@ -106,7 +106,7 @@ class LsmCompactionService:
         # this is the background memory/CPU pressure of §5.3.
         memory = getattr(self.tier, "memory", None)
         if memory is not None:
-            yield memory.read(total_bytes)
+            yield from memory.read(total_bytes)
         yield self.sim.timeout(total_bytes / self.merge_rate)
 
         # Latest version per block wins.
@@ -173,7 +173,7 @@ class LsmCompactionService:
             header={"chunk_id": chunk_id, "dead_locations": tuple(locations)},
         )
         ack_event = matcher.expect(message.request_id)
-        yield qp.send(message)
+        yield from qp.transmit(message)
         ack: Message = yield ack_event
         return ack.header.get("reclaimed", 0)
 
@@ -210,7 +210,7 @@ class SnapshotService:
                     kind="storage_snapshot", src=self.tier.address, dst=server.address
                 )
                 ack_event = matcher.expect(message.request_id)
-                yield qp.send(message)
+                yield from qp.transmit(message)
                 ack: Message = yield ack_event
                 self.snapshot_ids.setdefault(server.address, []).append(
                     ack.header["snapshot_id"]
@@ -306,7 +306,7 @@ class HeartbeatMonitor:
         qp, matcher = self.tier._storage_links[server.address]
         message = Message(kind="storage_ping", src=self.tier.address, dst=server.address)
         pong_event = matcher.expect(message.request_id)
-        yield qp.send(message)
+        yield from qp.transmit(message)
         deadline = self.sim.timeout(self.timeout)
         yield AnyOf(self.sim, [pong_event, deadline])
         if pong_event.triggered:

@@ -32,11 +32,11 @@ class DeviceMemoryDatapath(Datapath):
         self.device_memory = device_memory
 
     def ingress(self, message: Message, qp: QueuePair) -> typing.Generator:
-        yield self.device_memory.write(message.size)
+        yield from self.device_memory.write(message.size)
         return False
 
     def egress(self, message: Message, qp: QueuePair) -> typing.Generator:
-        yield self.device_memory.read(message.size)
+        yield from self.device_memory.read(message.size)
         return None
 
 
@@ -74,16 +74,16 @@ class OnBoardEngineTier(MiddleTierServer):
     def _engine_compress(self, payload: Payload) -> typing.Generator:
         """Off-path engine: device-memory read, compress, device-memory
         write (§3.4's passes)."""
-        yield self.device_memory.read(payload.size)
+        yield from self.device_memory.read(payload.size)
         yield from self._engine_pass(self.engine, self._engine_profile, payload.size)
         outgoing = compress_payload(payload)
-        yield self.device_memory.write(outgoing.size)
+        yield from self.device_memory.write(outgoing.size)
         return outgoing
 
     def _decompress_cost(self, worker_index: int, payload: Payload) -> typing.Generator:
-        yield self.device_memory.read(payload.size)
+        yield from self.device_memory.read(payload.size)
         yield from self._engine_pass(self.engine, self._engine_profile, payload.size)
-        yield self.device_memory.write(payload.original_size or payload.size)
+        yield from self.device_memory.write(payload.original_size or payload.size)
 
 
 class BlueField2MiddleTier(OnBoardEngineTier):
@@ -187,16 +187,16 @@ class BlueField3MiddleTier(MiddleTierServer):
         else:
             # Compression runs ON the Arm core: the worker is busy for
             # the whole block (this is the §3.4 bottleneck).
-            yield self.device_memory.read(payload.size)
+            yield from self.device_memory.read(payload.size)
             yield self.sim.timeout(payload.size / spec.per_core_compression_rate)
             outgoing = compress_payload(payload)
-            yield self.device_memory.write(outgoing.size)
+            yield from self.device_memory.write(outgoing.size)
         self._spawn_completion(qp, message, outgoing)
 
     def _decompress_cost(self, worker_index: int, payload: Payload) -> typing.Generator:
         spec = self.platform.bluefield3
         original = payload.original_size or payload.size
-        yield self.device_memory.read(payload.size)
+        yield from self.device_memory.read(payload.size)
         # Arm decompression, ~7x faster than compression (§2.2.3).
         yield self.sim.timeout(original / (spec.per_core_compression_rate * 7))
-        yield self.device_memory.write(original)
+        yield from self.device_memory.write(original)

@@ -67,10 +67,10 @@ class HostDmaDatapath(Datapath):
         slot = self._dma.request()
         yield slot
         try:
-            yield self.pcie.dma_write(message.size)
+            yield from self.pcie.dma_write(message.size)
             traffic = self.llc.dma_write(message.size, self.write_working_set)
             if traffic.dram_write:
-                yield self.memory.write(traffic.dram_write)
+                yield from self.memory.write(traffic.dram_write)
         finally:
             self._dma.release(slot)
         return False
@@ -82,8 +82,8 @@ class HostDmaDatapath(Datapath):
         try:
             traffic = self.llc.dma_read(message.size, self.read_working_set)
             if traffic.dram_read:
-                yield self.memory.read(traffic.dram_read)
-            yield self.pcie.dma_read(message.size)
+                yield from self.memory.read(traffic.dram_read)
+            yield from self.pcie.dma_read(message.size)
         finally:
             self._dma.release(slot)
         return None

@@ -1,7 +1,7 @@
 """RoCE-like reliable message transport between queue pairs.
 
 Modeled on the FPGA RoCE stack the paper extends [18, 70]: endpoints own
-queue pairs; ``send`` moves one whole RDMA message through the sender's
+queue pairs; ``transmit`` moves one whole RDMA message through the sender's
 datapath and tx port, the fabric, and the receiver's rx port and
 datapath, then lands it in the destination queue pair's receive buffer.
 Delivery is reliable and in order per queue pair (the transport layer
@@ -30,7 +30,6 @@ from repro.telemetry.registry import registry_for
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.debug import FaultPlan
     from repro.sim.kernel import Simulator
-    from repro.sim.process import Process
 
 
 class Datapath:
@@ -78,7 +77,7 @@ class QueuePair:
         self._next_tx_seq = 0
         self._rx_next = 0
         self._rx_waiters: dict[int, Event] = {}
-        # Per-kind send-process names, rendered once (one spawn per message).
+        # Per-kind process names for send(), rendered once.
         self._send_names: dict[str, str] = {}
 
     @property
@@ -89,22 +88,29 @@ class QueuePair:
         return self._peer
 
     def send(self, message: Message) -> "Process":
+        """Deliver `message` in a process of its own (concurrent sends).
+
+        The returned process fires with the message (like an RDMA send
+        completion) once it has fully landed in the remote receive
+        buffer. A caller that waits for the completion at once runs
+        :meth:`transmit` inline instead.
+        """
+        names = self._send_names
+        name = names.get(message.kind)
+        if name is None:
+            name = names[message.kind] = f"send:{message.kind}"
+        return Process(self.sim, self.transmit(message), name=name)
+
+    def transmit(self, message: Message) -> typing.Generator:
         """Reliably deliver `message` to the remote endpoint.
 
-        The returned process fires (like an RDMA send completion) once
-        the message has fully landed in the remote receive buffer.
+        A generator leg, run inline with ``yield from``: it returns the
+        message once it has fully landed in the remote receive buffer.
         """
         message.src = self.endpoint.address
         message.dst = self.remote.address
         if message.created_at is None:
             message.created_at = self.sim.now
-        names = self._send_names
-        name = names.get(message.kind)
-        if name is None:
-            name = names[message.kind] = f"send:{message.kind}"
-        return Process(self.sim, self._send(message), name=name)
-
-    def _send(self, message: Message) -> typing.Generator:
         spec = self.endpoint.spec
         wire_bytes = message.size + spec.roce_overhead_bytes
         sequence = self._next_tx_seq

@@ -18,8 +18,7 @@ import typing
 
 from heapq import heappush
 
-from repro.sim.events import Event, SimulationError, Timeout
-from repro.sim.process import Process
+from repro.sim.events import _PENDING, Event, SimulationError, Timeout
 from repro.sim.resources import Resource
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -37,6 +36,44 @@ class _FastTransfer(Timeout):
     """
 
     __slots__ = ("meter", "flow")
+
+
+class _QueuedTransfer(Event):
+    """Completion event of a slow-path (slot-queued) transfer.
+
+    Three callbacks drive it, each bound to this event and attached to
+    the event it waits on: a zero-delay start hop requests a lane, the
+    grant starts the service timeout, and the service end releases the
+    lane and schedules this event ``per_transfer_overhead`` later. The
+    start hop keeps the lane request at the same point in the event
+    order as a process body would make it. Nothing here refers back to
+    the start, request or service events, so the chain holds no
+    reference cycle.
+    """
+
+    __slots__ = ("server", "nbytes", "priority", "meter", "flow")
+
+    def _start(self, _start: Event) -> None:
+        request = self.server._slots.request(self.priority)
+        request.callbacks.append(self._granted)
+
+    def _granted(self, request: Event) -> None:
+        server = self.server
+        # The service timeout carries the request so its end can release it.
+        service = Timeout(self.sim, self.nbytes * server.lanes / server.rate, request)
+        service.callbacks.append(self._served)
+
+    def _served(self, service: Timeout) -> None:
+        server = self.server
+        server._slots.release(service._value)
+        # Fires at ``(grant + service) + overhead``, the association the
+        # fast path uses too.
+        self._value = self.nbytes
+        sim = self.sim
+        heappush(
+            sim._queue,
+            (sim._now + server.per_transfer_overhead, next(sim._sequence), self),
+        )
 
 
 class BandwidthServer:
@@ -87,7 +124,7 @@ class BandwidthServer:
         self.slow_transfers = 0
         # Bound once: the server is long-lived, so the method object's
         # reference back to it is no per-transfer cycle.
-        self._book_fast = self._on_fast_done
+        self._book_done = self._on_done
 
     @property
     def lane_rate(self) -> float:
@@ -180,11 +217,12 @@ class BandwidthServer:
         Uncontended transfers (a lane free, nothing queued) take the
         slot-free fast path: completion time is computed analytically and
         a single event carries the service time, the per-transfer
-        overhead, and the byte accounting — no slot request/release, no
-        generator process. Contended transfers fall back to the exact
-        FIFO slow path; any fast-path transfers still in flight first
-        claim real slots (:meth:`_materialize`) so queueing order is
-        identical to an all-slow-path run. Both paths fire with the
+        overhead, and the byte accounting — no slot request/release.
+        Contended transfers fall back to the exact FIFO slow path, a
+        :class:`_QueuedTransfer` driven by callbacks; any fast-path
+        transfers still in flight first claim real slots
+        (:meth:`_materialize`) so queueing order is identical to an
+        all-slow-path run. Both paths fire with the
         transfer's byte count at the same simulated times and book the
         same meter/ledger records.
         """
@@ -213,7 +251,7 @@ class BandwidthServer:
             done._name = self._xfer_name
             # Booking runs before any waiter: the callback is in place
             # before the caller could yield this event.
-            done.callbacks = [self._book_fast]
+            done.callbacks = [self._book_done]
             done._value = nbytes
             done._ok = True
             done._defused = False
@@ -228,37 +266,38 @@ class BandwidthServer:
         if self._fast_busy:
             self._materialize()
         self.slow_transfers += 1
-        return Process(
-            self.sim, self._transfer(nbytes, priority, meter, flow), name=self._xfer_name
-        )
+        sim = self.sim
+        done = _QueuedTransfer.__new__(_QueuedTransfer)
+        done.sim = sim
+        done._name = self._xfer_name
+        done.callbacks = [self._book_done]
+        done._value = _PENDING
+        done._ok = True
+        done._defused = False
+        done.server = self
+        done.nbytes = nbytes
+        done.priority = priority
+        done.meter = meter
+        done.flow = flow
+        start = Event.__new__(Event)
+        start.sim = sim
+        start._name = "start"
+        start.callbacks = [done._start]
+        start._value = None
+        start._ok = True
+        start._defused = False
+        heappush(sim._queue, (sim._now, next(sim._sequence), start))
+        return done
 
-    def _on_fast_done(self, done: _FastTransfer) -> None:
-        self._book(done._value, done.meter, done.flow)
-
-    def _book(
-        self, nbytes: int, meter: "BandwidthMeter | None", flow: str | None
-    ) -> None:
-        """Account a completed transfer (both paths, at completion time)."""
+    def _on_done(self, done: "_FastTransfer | _QueuedTransfer") -> None:
+        """First callback of every completion: book before any waiter runs."""
+        nbytes = done._value
         self.bytes_served += nbytes
-        now = self.sim.now
+        now = self.sim._now
         for attached in self._meters:
             attached.record(now, nbytes)
-        if meter is not None:
-            meter.record(now, nbytes)
-        if flow is not None:
+        if done.meter is not None:
+            done.meter.record(now, nbytes)
+        if done.flow is not None:
             for ledger in self._ledgers:
-                ledger.record(self.name, flow, nbytes)
-
-    def _transfer(
-        self, nbytes: int, priority: int, meter: "BandwidthMeter | None", flow: str | None
-    ) -> typing.Generator:
-        req = self._slots.request(priority)
-        yield req
-        try:
-            yield Timeout(self.sim, nbytes * self.lanes / self.rate)
-        finally:
-            self._slots.release(req)
-        if self.per_transfer_overhead > 0:
-            yield Timeout(self.sim, self.per_transfer_overhead)
-        self._book(nbytes, meter, flow)
-        return nbytes
+                ledger.record(self.name, done.flow, nbytes)

@@ -12,7 +12,7 @@ import gc
 import math
 import typing
 import weakref
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from itertools import count
 
 from repro.sim.events import AllOf, AnyOf, Event, SimulationError, Timeout
@@ -104,46 +104,6 @@ class Simulator:
     def timeout(self, delay: float, value: typing.Any = None) -> Timeout:
         """Create an event that fires `delay` seconds from now."""
         return Timeout(self, delay, value)
-
-    def timeout_batch(
-        self, delays: typing.Iterable[float], value: typing.Any = None
-    ) -> list[Timeout]:
-        """Create one timeout per delay, scheduled in a single heap pass.
-
-        The schedule-many primitive for fan-out storms (replication
-        arms, cache-fill chunks, per-block completions): for large
-        batches the queue is extended and re-heapified once — O(queue) —
-        instead of paying one O(log queue) sift per event. Semantically
-        identical to ``[self.timeout(d, value) for d in delays]``,
-        including relative ordering (sequence numbers are assigned in
-        input order).
-        """
-        queue = self._queue
-        now = self._now
-        sequence = self._sequence
-        events = []
-        entries = []
-        for delay in delays:
-            if delay < 0:
-                raise SimulationError(f"negative timeout delay {delay!r}")
-            event = Timeout.__new__(Timeout)
-            event.sim = self
-            event._name = ""
-            event.callbacks = []
-            event._value = value
-            event._ok = True
-            event._defused = False
-            event.delay = delay
-            events.append(event)
-            entries.append((now + delay, next(sequence), event))
-        # k pushes cost ~k*log2(n); one heapify costs ~n comparisons.
-        if len(entries) * max(1, len(queue).bit_length()) > len(queue):
-            queue.extend(entries)
-            heapify(queue)
-        else:
-            for entry in entries:
-                heappush(queue, entry)
-        return events
 
     def fluid_timeout(self, delay: float, window: float, value: typing.Any = None) -> Timeout:
         """A shared timeout, quantized *up* to the end of a `window` slot.

@@ -138,6 +138,13 @@ class Process(Event):
             return
 
         if not isinstance(target, Event):
+            if type(target) is GeneratorType:
+                # The likely mistake is `yield link.dma_write(...)`: the
+                # datapath legs are generator functions run inline.
+                raise SimulationError(
+                    f"process {self.name!r} yielded generator {target.__qualname__!r};"
+                    " delegate with `yield from`"
+                )
             raise SimulationError(
                 f"process {self.name!r} yielded {target!r}; processes may only yield events"
             )

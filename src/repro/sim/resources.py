@@ -188,6 +188,13 @@ class Store:
         self._items: deque = deque()
         self._getters: deque[Event] = deque()
         self._putters: deque[tuple[Event, typing.Any]] = deque()
+        # The one already-processed event every put that completes at
+        # once returns: a put nobody waits on schedules nothing, and a
+        # putter that yields it resumes on the next kernel step.
+        done = Event(sim, name=self._put_name)
+        done._value = None
+        done.callbacks = None  # type: ignore[assignment]
+        self._put_done = done
         track = getattr(sim, "_track", None)
         if track is not None:
             track("store", self)
@@ -201,16 +208,15 @@ class Store:
         return tuple(self._items)
 
     def put(self, item: typing.Any) -> Event:
-        """Add `item`; fires immediately unless the store is full."""
-        event = Event(self.sim, name=self._put_name)
+        """Add `item`; the returned event has fired unless the store is full."""
         if self._getters:
             self._getters.popleft().succeed(item)
-            event.succeed()
-        elif len(self._items) < self.capacity:
+            return self._put_done
+        if len(self._items) < self.capacity:
             self._items.append(item)
-            event.succeed()
-        else:
-            self._putters.append((event, item))
+            return self._put_done
+        event = Event(self.sim, name=self._put_name)
+        self._putters.append((event, item))
         return event
 
     def get(self) -> Event:

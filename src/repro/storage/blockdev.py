@@ -17,7 +17,6 @@ from repro.units import gBps, usec
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.kernel import Simulator
-    from repro.sim.process import Process
 
 
 class BlockDevice:
@@ -44,17 +43,20 @@ class BlockDevice:
         self.read_meter = BandwidthMeter(f"{name}.read")
         self.writes = Counter(f"{name}.writes")
         self.reads = Counter(f"{name}.reads")
-        # Rendered once: an I/O process is spawned per device operation.
-        self._w_name = f"{name}.w"
-        self._r_name = f"{name}.r"
 
-    def write(self, nbytes: int) -> "Process":
-        """Persist `nbytes`; fires when the device acknowledges durability."""
-        return self.sim.process(self._io(nbytes, self.write_latency, True), name=self._w_name)
+    def write(self, nbytes: int) -> typing.Generator:
+        """Persist `nbytes`; returns once the device acknowledges durability.
 
-    def read(self, nbytes: int) -> "Process":
-        """Fetch `nbytes`; fires when the data is in the server's buffer."""
-        return self.sim.process(self._io(nbytes, self.read_latency, False), name=self._r_name)
+        A generator leg: run it inline with ``yield from``.
+        """
+        return self._io(nbytes, self.write_latency, True)
+
+    def read(self, nbytes: int) -> typing.Generator:
+        """Fetch `nbytes`; returns once the data is in the server's buffer.
+
+        A generator leg: run it inline with ``yield from``.
+        """
+        return self._io(nbytes, self.read_latency, False)
 
     def _io(self, nbytes: int, latency: float, is_write: bool) -> typing.Generator:
         if nbytes < 0:

@@ -101,7 +101,7 @@ class StorageServer:
         span = None
         if message.span is not None:
             span = message.span.child("storage.write", server=self.address)
-        yield self.device.write(payload.size)
+        yield from self.device.write(payload.size)
         if self.failed:
             if span is not None:
                 span.finish("failed", reason="server-crashed")
@@ -120,7 +120,7 @@ class StorageServer:
         self.writes_served.add()
         ack = message.reply("storage_ack", location=record.location, server=self.address)
         ack.span = span
-        yield qp.send(ack)
+        yield from qp.transmit(ack)
         if span is not None:
             span.finish("ok", nbytes=payload.size)
 
@@ -136,22 +136,22 @@ class StorageServer:
             self.store.mark_dead(location)
         reclaimed = self.store.gc(chunk_id)
         # Trimming the log costs a small metadata write.
-        yield self.device.write(min(reclaimed, 4096))
+        yield from self.device.write(min(reclaimed, 4096))
         if self.failed:
             return
-        yield qp.send(message.reply("storage_gc_ack", reclaimed=reclaimed))
+        yield from qp.transmit(message.reply("storage_gc_ack", reclaimed=reclaimed))
 
     def _serve_snapshot(self, qp: QueuePair, message: Message) -> typing.Generator:
         """Pin the live set (snapshot maintenance service, §2.2.3)."""
         snap_id = self.store.snapshot()
-        yield self.device.write(4096)  # persist the snapshot manifest
+        yield from self.device.write(4096)  # persist the snapshot manifest
         if self.failed:
             return
-        yield qp.send(message.reply("storage_snapshot_ack", snapshot_id=snap_id))
+        yield from qp.transmit(message.reply("storage_snapshot_ack", snapshot_id=snap_id))
 
     def _serve_ping(self, qp: QueuePair, message: Message) -> typing.Generator:
         """Health-check heartbeat; a failed server simply never answers."""
-        yield qp.send(message.reply("storage_pong", server=self.address))
+        yield from qp.transmit(message.reply("storage_pong", server=self.address))
 
     def _serve_read(self, qp: QueuePair, message: Message) -> typing.Generator:
         chunk_id = message.header.get("chunk_id", 0)
@@ -164,9 +164,9 @@ class StorageServer:
             if span is not None:
                 span.finish("failed", reason="miss")
             reply = message.reply("storage_read_miss", block_id=block_id)
-            yield qp.send(reply)
+            yield from qp.transmit(reply)
             return
-        yield self.device.read(record.size)
+        yield from self.device.read(record.size)
         if self.failed:
             if span is not None:
                 span.finish("failed", reason="server-crashed")
@@ -184,6 +184,6 @@ class StorageServer:
         reply = message.reply("storage_read_reply", block_id=block_id)
         reply.payload = payload
         reply.span = span
-        yield qp.send(reply)
+        yield from qp.transmit(reply)
         if span is not None:
             span.finish("ok", nbytes=record.size)

@@ -301,7 +301,7 @@ class OpenLoopDriver:
         reply_event = self.sim.event()
         self._reply_events[message.request_id] = reply_event
         start = self.sim.now
-        yield self.qp.send(message)
+        yield from self.qp.transmit(message)
         if tx is not None:
             tx.finish(nbytes=message.size)
         reply = yield reply_event
@@ -405,7 +405,7 @@ class ClientDriver:
             reply_event = self.sim.event(name=f"reply:{message.request_id}")
             self._reply_events[message.request_id] = reply_event
             start = self.sim.now
-            yield self.qp.send(message)
+            yield from self.qp.transmit(message)
             if tx is not None:
                 tx.finish(nbytes=message.size)
             reply = yield reply_event
@@ -451,7 +451,7 @@ class ClientDriver:
                 reply_event = self.sim.event()
                 self._reply_events[message.request_id] = reply_event
                 start = self.sim.now
-                yield self.qp.send(message)
+                yield from self.qp.transmit(message)
                 if tx is not None:
                     tx.finish(nbytes=message.size)
                 reply = yield reply_event

@@ -66,9 +66,9 @@ class MlcInjector:
         step = 0
         while self._running:
             if step % period < reads_per_period:
-                yield self.memory.read(self.chunk)
+                yield from self.memory.read(self.chunk)
             else:
-                yield self.memory.write(self.chunk)
+                yield from self.memory.write(self.chunk)
             self.meter.record(self.sim.now, self.chunk)
             step += 1
             if self.delay > 0:

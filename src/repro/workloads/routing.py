@@ -182,7 +182,7 @@ class RoutingClient:
                 tx = message.span = root.child("client.tx")
             reply_event = self.sim.event(name=f"reply:{message.request_id}")
             self._reply_events[message.request_id] = reply_event
-            yield self._qps[target].send(message)
+            yield from self._qps[target].transmit(message)
             if tx is not None:
                 tx.finish(nbytes=message.size)
             reply = yield reply_event

@@ -184,7 +184,7 @@ class TraceReplayer:
         reply_event = self.sim.event()
         self._reply_events[message.request_id] = reply_event
         begin = self.sim.now
-        yield self.qp.send(message)
+        yield from self.qp.transmit(message)
         reply = yield reply_event
         elapsed = self.sim.now - begin
         if entry.kind == "write":

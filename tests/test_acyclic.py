@@ -14,6 +14,7 @@ from __future__ import annotations
 import collections
 import dataclasses
 import gc
+import random
 import typing
 
 import pytest
@@ -28,8 +29,8 @@ from repro.params import (
     ClusterSpec,
     FlightSpec,
 )
-from repro.sim import FaultPlan, Simulator
-from repro.telemetry import SpanCollector
+from repro.sim import BandwidthServer, FaultPlan, FlowLedger, Simulator
+from repro.telemetry import BandwidthMeter, SpanCollector
 from repro.units import kib, usec
 from repro.workloads import ClientDriver, OpenLoopDriver, RoutingClient, WriteRequestFactory
 
@@ -170,9 +171,45 @@ def failing_children(n: int) -> typing.Any:
     return sim
 
 
+def contended_pipe(n: int) -> typing.Any:
+    # Four lanes, six producers and bursts of mixed priorities keep the
+    # slot queue busy, so most transfers take the callback-driven
+    # queued path; the overhead puts a gap between lane release and
+    # completion.
+    sim = Simulator()
+    pipe = BandwidthServer(
+        sim, rate=8e9, name="pipe", lanes=4, per_transfer_overhead=usec(0.5)
+    )
+    pipe.attach_meter(BandwidthMeter("pipe"))
+    pipe.attach_ledger(FlowLedger(name="pipe"))
+
+    def producer(index: int) -> typing.Generator:
+        rng = random.Random(index)
+        for _ in range(n):
+            if rng.random() < 0.3:
+                yield sim.timeout(rng.random() * usec(2))
+            yield pipe.transfer(
+                rng.randrange(64, 65536), priority=rng.randrange(-2, 3), flow=f"f{index}"
+            )
+
+    for index in range(6):
+        sim.process(producer(index))
+    sim.run()
+    assert pipe.slow_transfers > pipe.fast_transfers
+    return sim, pipe
+
+
 @pytest.mark.parametrize(
     "shape",
-    [smartds_write, cached_read, read_failover, overload, sharded, failing_children],
+    [
+        smartds_write,
+        cached_read,
+        read_failover,
+        overload,
+        sharded,
+        failing_children,
+        contended_pipe,
+    ],
     ids=lambda shape: shape.__name__,
 )
 def test_requests_leave_no_cyclic_garbage(shape):

@@ -14,7 +14,7 @@ class TestMemorySubsystem:
         memory = MemorySubsystem(sim, rate=1000.0, lanes=1, chunk=1 << 30)
 
         def body():
-            yield memory.read(500)
+            yield from memory.read(500)
 
         sim.process(body())
         sim.run()
@@ -25,8 +25,8 @@ class TestMemorySubsystem:
         memory = MemorySubsystem.for_host(sim)
 
         def body():
-            yield memory.read(1000)
-            yield memory.write(500)
+            yield from memory.read(1000)
+            yield from memory.write(500)
 
         sim.process(body())
         sim.run()
@@ -41,12 +41,12 @@ class TestMemorySubsystem:
         done = []
 
         def big():
-            yield memory.read(10_000)
+            yield from memory.read(10_000)
             done.append(("big", sim.now))
 
         def small():
             yield sim.timeout(0.001)
-            yield memory.write(100)
+            yield from memory.write(100)
             done.append(("small", sim.now))
 
         sim.process(big())
@@ -64,12 +64,12 @@ class TestMemorySubsystem:
 
             def foreground():
                 for _ in range(10):
-                    yield memory.read(100)
+                    yield from memory.read(100)
                 finished.append(sim.now)
 
             def background():
                 while True:
-                    yield memory.write(100)
+                    yield from memory.write(100)
 
             sim.process(foreground())
             if with_background:
@@ -117,7 +117,7 @@ class TestPcieLink:
         t_done = []
 
         def body():
-            yield link.dma_write(64)
+            yield from link.dma_write(64)
             t_done.append(sim.now)
 
         sim.process(body())
@@ -131,7 +131,7 @@ class TestPcieLink:
         t_done = []
 
         def body():
-            yield link.dma_read(64)
+            yield from link.dma_read(64)
             t_done.append(sim.now)
 
         sim.process(body())
@@ -149,12 +149,12 @@ class TestPcieLink:
 
             def background():
                 while True:
-                    yield link.dma_read(1 << 16)
+                    yield from link.dma_read(1 << 16)
 
             def probe():
                 yield sim.timeout(usec(50))
                 start = sim.now
-                yield link.dma_read(4096)
+                yield from link.dma_read(4096)
                 latencies.append(sim.now - start)
 
             if loaded:
@@ -171,8 +171,8 @@ class TestPcieLink:
         link = PcieLink(sim)
 
         def body():
-            yield link.dma_write(1000)
-            yield link.dma_read(2000)
+            yield from link.dma_write(1000)
+            yield from link.dma_read(2000)
 
         sim.process(body())
         sim.run()
@@ -185,7 +185,7 @@ class TestPcieLink:
         link = PcieLink(sim, spec)
 
         def body():
-            yield link.dma_read(1000)
+            yield from link.dma_read(1000)
 
         sim.process(body())
         sim.run()

@@ -1,84 +1,15 @@
-"""Batched scheduling primitives: ``timeout_batch`` and ``fluid_timeout``.
+"""Batched scheduling primitive: ``fluid_timeout``.
 
-``timeout_batch`` must be semantically identical to a loop of
-``sim.timeout`` calls — same firing times, same relative order — while
-scheduling large storms through one heapify. ``fluid_timeout`` shares
-one event per (window-aligned) bucket among every caller, the opt-in
-coalescing mode for periodic work where interleaving doesn't matter.
+``fluid_timeout`` shares one event per (window-aligned) bucket among
+every caller, the opt-in coalescing mode for periodic work where
+interleaving doesn't matter.
 """
 
 import pytest
 
-from repro.sim.events import SimulationError, Timeout
+from repro.sim.events import SimulationError
 from repro.sim.kernel import Simulator
 from repro.telemetry.registry import MetricsRegistry
-
-
-class TestTimeoutBatch:
-    def test_matches_individual_timeouts(self):
-        delays = [3e-6, 1e-6, 2e-6, 1e-6, 0.0, 5e-6]
-
-        def drive(batched: bool):
-            sim = Simulator()
-            fired = []
-            if batched:
-                events = sim.timeout_batch(delays, value="v")
-            else:
-                events = [sim.timeout(d, "v") for d in delays]
-            for index, event in enumerate(events):
-                event.callbacks.append(
-                    lambda e, index=index: fired.append((sim.now, index, e.value))
-                )
-            sim.run()
-            return fired, sim.steps
-
-        assert drive(True) == drive(False)
-
-    def test_large_batch_heapifies_and_preserves_order(self):
-        # Large enough that the heapify branch triggers (batch bigger
-        # than log-cost threshold vs the existing queue).
-        sim = Simulator()
-        events = sim.timeout_batch([i * 1e-9 for i in range(5000)])
-        assert len(events) == 5000
-        fired = []
-        events[0].callbacks.append(lambda e: fired.append("first"))
-        events[-1].callbacks.append(lambda e: fired.append("last"))
-        sim.run()
-        assert fired == ["first", "last"]
-        assert sim.steps == 5000
-
-    def test_ties_fire_in_input_order(self):
-        sim = Simulator()
-        fired = []
-        for index, event in enumerate(sim.timeout_batch([1e-6] * 8)):
-            event.callbacks.append(lambda e, index=index: fired.append(index))
-        sim.run()
-        assert fired == list(range(8))
-
-    def test_small_batch_onto_large_queue_uses_heappush(self):
-        # A few entries against a big queue must not pay O(queue)
-        # heapify; semantics are the same either way.
-        sim = Simulator()
-        for i in range(4000):
-            sim.timeout(1e-3 + i * 1e-9)
-        early = sim.timeout_batch([1e-6, 2e-6])
-        seen = []
-        for event in early:
-            event.callbacks.append(lambda e: seen.append(sim.now))
-        sim.run(until=1e-4)
-        assert seen == [pytest.approx(1e-6), pytest.approx(2e-6)]
-
-    def test_negative_delay_raises(self):
-        sim = Simulator()
-        with pytest.raises(SimulationError):
-            sim.timeout_batch([1e-6, -1e-9])
-
-    def test_returns_timeouts(self):
-        sim = Simulator()
-        (event,) = sim.timeout_batch([1e-6], value=42)
-        assert isinstance(event, Timeout)
-        sim.run()
-        assert event.value == 42
 
 
 class TestFluidTimeout:

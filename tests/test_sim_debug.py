@@ -407,7 +407,7 @@ class TestFaultPlan:
             device = SmartDsDevice(sim, fault_plan=plan)
 
             def body():
-                yield device.pcie.dma_write(4096)
+                yield from device.pcie.dma_write(4096)
 
             sim.process(body())
             sim.run()

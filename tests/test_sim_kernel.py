@@ -179,6 +179,22 @@ def test_yielding_non_event_is_an_error():
         sim.run()
 
 
+def test_yielding_a_generator_names_it_and_says_yield_from():
+    sim = Simulator()
+
+    def leg():
+        yield sim.timeout(1.0)
+
+    def body():
+        yield leg()
+
+    sim.process(body(), name="caller")
+    with pytest.raises(
+        SimulationError, match=r"'caller' yielded generator '.*leg'; delegate with `yield from`"
+    ):
+        sim.run()
+
+
 def test_all_of_waits_for_every_event():
     sim = Simulator()
     t_done = []

@@ -15,7 +15,7 @@ class TestBlockDevice:
         done = []
 
         def body():
-            yield disk.write(0)
+            yield from disk.write(0)
             done.append(sim.now)
 
         sim.process(body())
@@ -27,7 +27,7 @@ class TestBlockDevice:
         disk = BlockDevice(sim, write_latency=0.0, bandwidth=1000.0)
 
         def body():
-            yield disk.write(500)
+            yield from disk.write(500)
 
         sim.process(body())
         sim.run()
@@ -39,7 +39,7 @@ class TestBlockDevice:
         done = []
 
         def body():
-            yield disk.write(1)
+            yield from disk.write(1)
             done.append(sim.now)
 
         for _ in range(4):
@@ -52,8 +52,8 @@ class TestBlockDevice:
         disk = BlockDevice(sim)
 
         def body():
-            yield disk.write(100)
-            yield disk.read(200)
+            yield from disk.write(100)
+            yield from disk.read(200)
 
         sim.process(body())
         sim.run()
