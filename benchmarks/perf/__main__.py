@@ -112,11 +112,6 @@ def main(argv: list[str] | None = None) -> int:
         f"  resource deep-queue {document['resource']['current_ops_per_sec']:,.0f} ops/s"
         f"  ({summary['resource_deep_queue_speedup']:.1f}x vs seed)"
     )
-    bandwidth = document["bandwidth"]
-    print(
-        f"  bw fast path        {bandwidth['event_reduction']:.2f}x fewer events"
-        f"  ({bandwidth['wall_speedup']:.2f}x wall)"
-    )
     lz4 = document["lz4"]
     print(
         f"  lz4 corpus          {lz4['compress_corpus_blocks']['current_mb_per_sec']:.2f} MB/s"
@@ -131,7 +126,7 @@ def main(argv: list[str] | None = None) -> int:
         f"  ({summary['lz4_decompress_speedup']:.2f}x vs seed)"
     )
     for name, events_per_sec in summary["macro_events_per_sec"].items():
-        print(f"  macro {name:<13} {events_per_sec:,.0f} events/s (fast path off)")
+        print(f"  macro {name:<13} {events_per_sec:,.0f} events/s")
     print(f"  harness time        {summary['harness_seconds']:.1f}s")
 
     if args.compare:

@@ -13,7 +13,6 @@ hits both sides equally.
 
 from __future__ import annotations
 
-import os
 import platform
 import sys
 import time
@@ -27,7 +26,6 @@ from benchmarks.perf.legacy import (
 from repro.compression.corpus import SilesiaLikeCorpus
 from repro.compression.lz4 import lz4_compress, lz4_decompress
 from repro.sim import kernel
-from repro.sim.bandwidth import BandwidthServer
 from repro.sim.kernel import Simulator
 from repro.sim.resources import Resource, Store
 
@@ -41,7 +39,10 @@ BENCH_ISSUE = 10
 #: gain a ``fast_path`` sub-object and are measured with the bandwidth
 #: fast path *off* so ``events_per_sec`` compares identical event
 #: streams across reports.
-SCHEMA_VERSION = 2
+#: v3: the ``bandwidth`` section and the macro ``fast_path`` sub-object
+#: are gone with the bandwidth fast/slow fork; macro rows measure the
+#: one transfer path.
+SCHEMA_VERSION = 3
 
 
 def _best_of(body: typing.Callable[[], typing.Any], repeats: int) -> float:
@@ -278,87 +279,24 @@ def bench_lz4(quick: bool) -> dict:
     return result
 
 
-# -- bandwidth fast path ----------------------------------------------------
-
-
-def _drive_transfers(fast_path: bool, n: int) -> tuple[int, float]:
-    """Run `n` sequential uncontended transfers; returns (events, seconds).
-
-    Sequential transfers on a free lane are the fast path's home regime:
-    every transfer is admitted slot-free and completes in one event
-    instead of the slow path's request/grant/service/completion chain.
-    """
-    sim = Simulator()
-    pipe = BandwidthServer(
-        sim, rate=1e9, per_transfer_overhead=1e-6, fast_path=fast_path
-    )
-
-    def body() -> typing.Generator:
-        for _ in range(n):
-            yield pipe.transfer(4096)
-
-    sim.process(body())
-    started = time.perf_counter()
-    sim.run()
-    return sim.steps, time.perf_counter() - started
-
-
-def bench_bandwidth(quick: bool) -> dict:
-    """Kernel event counts for uncontended transfers: fast path on vs off.
-
-    ``event_reduction`` is the headline claim for the slot-free fast
-    path — events per uncontended transfer with the path off divided by
-    events with it on (>= 3x by design: request + grant + service +
-    overhead + completion collapse into a single analytic event).
-    """
-    n = 5_000 if quick else 25_000
-    repeats = 3 if quick else 5
-    on_events, _ = _drive_transfers(True, n)
-    off_events, _ = _drive_transfers(False, n)
-    best = _interleaved_best(
-        {
-            "fast_on": lambda: _drive_transfers(True, n),
-            "fast_off": lambda: _drive_transfers(False, n),
-        },
-        repeats,
-    )
-    return {
-        "transfers": n,
-        "fast_on_events": on_events,
-        "fast_off_events": off_events,
-        "event_reduction": off_events / on_events,
-        "fast_on_transfers_per_sec": n / best["fast_on"],
-        "fast_off_transfers_per_sec": n / best["fast_off"],
-        "wall_speedup": best["fast_off"] / best["fast_on"],
-    }
-
-
 # -- macro: canonical experiment runs --------------------------------------
 
 
-def _run_experiment(module: typing.Any, fast_path: bool) -> dict:
+def _run_experiment(module: typing.Any) -> dict:
     """One experiment run; returns wall/events totals across its simulators.
 
     Simulators are collected with a sim hook (the same mechanism trace
     sessions use) so the harness can total events processed across every
-    simulator an experiment creates. ``fast_path`` forces the bandwidth
-    fast path on or off for the duration of the run (servers read
-    ``REPRO_BW_FAST_PATH`` at construction time).
+    simulator an experiment creates.
     """
     sims: list[Simulator] = []
     kernel.add_sim_hook(sims.append)
-    previous = os.environ.get("REPRO_BW_FAST_PATH")
-    os.environ["REPRO_BW_FAST_PATH"] = "1" if fast_path else "0"
     try:
         started = time.perf_counter()
         module.run(quick=True)
         seconds = time.perf_counter() - started
     finally:
         kernel.remove_sim_hook(sims.append)
-        if previous is None:
-            del os.environ["REPRO_BW_FAST_PATH"]
-        else:
-            os.environ["REPRO_BW_FAST_PATH"] = previous
     return {
         "wall_seconds": seconds,
         "simulators": len(sims),
@@ -368,45 +306,22 @@ def _run_experiment(module: typing.Any, fast_path: bool) -> dict:
 
 
 def bench_macro(quick: bool) -> dict:
-    """Wall-clock + simulated-events/sec for canonical quick experiment runs.
-
-    ``events_per_sec`` is measured with the bandwidth fast path *off* so
-    the event stream is identical to earlier reports (same ``events``
-    count) and the number is a pure kernel-throughput comparison. The
-    ``fast_path`` sub-object reports the end-to-end effect of turning
-    the fast path on: fewer events *and* less wall-clock for the same
-    simulated outcome — its ``events_per_sec`` is intentionally not the
-    headline (fewer events per second of a smaller event stream).
-    """
+    """Wall-clock + simulated-events/sec for canonical quick experiment runs."""
     from repro.experiments import ext_cache, ext_chaos
 
     # This container's clock speed drifts +-30% on ~10 s scales, which is
-    # exactly the duration of one experiment pair — three rounds give each
+    # exactly the duration of one experiment run — three rounds give each
     # row a fair shot at a fast phase (best-of keeps the fastest).
     rounds = 1 if quick else 3
     out: dict[str, typing.Any] = {}
     for name, module in (("ext_cache", ext_cache), ("ext_chaos", ext_chaos)):
-        off = _run_experiment(module, fast_path=False)
-        on = _run_experiment(module, fast_path=True)
-        for _ in range(rounds - 1):  # interleaved best-of to absorb drift
-            off_again = _run_experiment(module, fast_path=False)
-            on_again = _run_experiment(module, fast_path=True)
-            if off_again["wall_seconds"] < off["wall_seconds"]:
-                off = off_again
-            if on_again["wall_seconds"] < on["wall_seconds"]:
-                on = on_again
-        entry = dict(off)
-        entry["events_per_sec"] = (
-            off["events"] / off["wall_seconds"] if off["wall_seconds"] else 0.0
+        entry = min(
+            (_run_experiment(module) for _ in range(rounds)),
+            key=lambda run: run["wall_seconds"],
         )
-        entry["fast_path"] = {
-            "wall_seconds": on["wall_seconds"],
-            "events": on["events"],
-            "event_reduction": off["events"] / on["events"] if on["events"] else 0.0,
-            "wall_speedup": (
-                off["wall_seconds"] / on["wall_seconds"] if on["wall_seconds"] else 0.0
-            ),
-        }
+        entry["events_per_sec"] = (
+            entry["events"] / entry["wall_seconds"] if entry["wall_seconds"] else 0.0
+        )
         out[name] = entry
         if quick:
             break  # one macro experiment keeps the quick mode fast
@@ -431,7 +346,6 @@ def run_benchmarks(quick: bool = False) -> dict:
         "kernel": bench_kernel(quick),
         "resource": bench_resource(quick),
         "store": bench_store(quick),
-        "bandwidth": bench_bandwidth(quick),
         "lz4": bench_lz4(quick),
         "macro": bench_macro(quick),
     }
@@ -444,7 +358,6 @@ def run_benchmarks(quick: bool = False) -> dict:
         "lz4_compress_corpus_speedup": lz4["compress_corpus_blocks"]["speedup"],
         "lz4_compress_text_speedup": lz4["compress_text_blocks"]["speedup"],
         "lz4_decompress_speedup": lz4["decompress_corpus_blocks"]["speedup"],
-        "bandwidth_event_reduction": document["bandwidth"]["event_reduction"],
         "kernel_events_per_sec": document["kernel"]["process_chain"]["events_per_sec"],
         "macro_events_per_sec": {
             name: entry["events_per_sec"] for name, entry in macro.items()

@@ -48,15 +48,6 @@ BENCH_SPEC: dict = {
         "speedup": _NUMBER,
     },
     "store": {"items": (int,), "seconds": _NUMBER, "ops_per_sec": _NUMBER},
-    "bandwidth": {
-        "transfers": (int,),
-        "fast_on_events": (int,),
-        "fast_off_events": (int,),
-        "event_reduction": _NUMBER,
-        "fast_on_transfers_per_sec": _NUMBER,
-        "fast_off_transfers_per_sec": _NUMBER,
-        "wall_speedup": _NUMBER,
-    },
     "lz4": {
         "block_size": (int,),
         "compress_text_blocks": _COMPRESS_CLASS,
@@ -77,7 +68,6 @@ BENCH_SPEC: dict = {
         "lz4_compress_corpus_speedup": _NUMBER,
         "lz4_compress_text_speedup": _NUMBER,
         "lz4_decompress_speedup": _NUMBER,
-        "bandwidth_event_reduction": _NUMBER,
         "kernel_events_per_sec": _NUMBER,
         "macro_events_per_sec": dict,
         "harness_seconds": _NUMBER,

@@ -68,11 +68,6 @@ class MemorySubsystem:
         return self._bus.rate
 
     @property
-    def queue_length(self) -> int:
-        """Transfers waiting for a memory lane right now."""
-        return self._bus.queue_length
-
-    @property
     def total_bytes(self) -> int:
         """All bytes moved (reads + writes)."""
         return self.read_meter.total_bytes + self.write_meter.total_bytes
@@ -86,21 +81,21 @@ class MemorySubsystem:
         """
         self._ledgers.append(ledger)
 
-    def read(self, nbytes: int, priority: int = 0, flow: str | None = None) -> typing.Generator:
+    def read(self, nbytes: int, flow: str | None = None) -> typing.Generator:
         """Read `nbytes` (chunked); a generator leg, run it with ``yield from``."""
-        return self._chunked(nbytes, self.read_meter, priority, flow)
+        return self._chunked(nbytes, self.read_meter, flow)
 
-    def write(self, nbytes: int, priority: int = 0, flow: str | None = None) -> typing.Generator:
+    def write(self, nbytes: int, flow: str | None = None) -> typing.Generator:
         """Write `nbytes` (chunked); a generator leg, run it with ``yield from``."""
-        return self._chunked(nbytes, self.write_meter, priority, flow)
+        return self._chunked(nbytes, self.write_meter, flow)
 
     def _chunked(
-        self, nbytes: int, meter: BandwidthMeter, priority: int, flow: str | None = None
+        self, nbytes: int, meter: BandwidthMeter, flow: str | None = None
     ) -> typing.Generator:
         remaining = nbytes
         while remaining > 0:
             step = min(self.chunk, remaining)
-            yield self._bus.transfer(step, priority=priority, meter=meter)
+            yield self._bus.transfer(step, meter=meter)
             if flow is not None:
                 for ledger in self._ledgers:
                     ledger.record(meter.name, flow, step)

@@ -73,9 +73,7 @@ class PcieLink:
         if delay > 0:
             yield self.sim.timeout(delay)
 
-    def dma_read(
-        self, nbytes: int, priority: int = 0, flow: str | None = None
-    ) -> typing.Generator:
+    def dma_read(self, nbytes: int, flow: str | None = None) -> typing.Generator:
         """Device reads `nbytes` of host memory; returns once all data arrived.
 
         A generator leg: run it inline with ``yield from``.
@@ -83,7 +81,7 @@ class PcieLink:
         # Read request travels upstream first (control, unmetered)...
         if self.fault_plan is not None:
             yield from self._stall("d2h")
-        yield self.d2h.transfer(_CONTROL_BYTES, priority=priority)
+        yield self.d2h.transfer(_CONTROL_BYTES)
         # ...then completions stream back in chunks, each queueing on the
         # downstream direction.
         chunk = self.spec.pcie_read_chunk
@@ -92,18 +90,16 @@ class PcieLink:
             step = min(chunk, remaining)
             if self.fault_plan is not None:
                 yield from self._stall("h2d")
-            yield self.h2d.transfer(step, priority=priority, meter=self.h2d_meter, flow=flow)
+            yield self.h2d.transfer(step, meter=self.h2d_meter, flow=flow)
             remaining -= step
         return nbytes
 
-    def dma_write(
-        self, nbytes: int, priority: int = 0, flow: str | None = None
-    ) -> typing.Generator:
+    def dma_write(self, nbytes: int, flow: str | None = None) -> typing.Generator:
         """Device writes `nbytes` into host memory; returns once posted upstream.
 
         A generator leg: run it inline with ``yield from``.
         """
         if self.fault_plan is not None:
             yield from self._stall("d2h")
-        yield self.d2h.transfer(max(nbytes, 1), priority=priority, meter=self.d2h_meter, flow=flow)
+        yield self.d2h.transfer(max(nbytes, 1), meter=self.d2h_meter, flow=flow)
         return nbytes

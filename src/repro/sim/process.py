@@ -117,8 +117,14 @@ class Process(Event):
             # returned, so the process cannot already be triggered and
             # _ok is still True.
             self._value = stop.value
-            sim = self.sim
-            heappush(sim._queue, (sim._now, next(sim._sequence), self))
+            if self.callbacks:
+                sim = self.sim
+                heappush(sim._queue, (sim._now, next(sim._sequence), self))
+            else:
+                # Nobody waits: mark it processed instead of scheduling
+                # a completion no callback would see. A later `yield`
+                # resumes through the poke path with the return value.
+                self.callbacks = None  # type: ignore[assignment]
             return
         except BaseException as exc:  # noqa: BLE001 - model errors must surface
             # Trim this frame from the traceback (the generator's frames

@@ -172,10 +172,9 @@ def failing_children(n: int) -> typing.Any:
 
 
 def contended_pipe(n: int) -> typing.Any:
-    # Four lanes, six producers and bursts of mixed priorities keep the
-    # slot queue busy, so most transfers take the callback-driven
-    # queued path; the overhead puts a gap between lane release and
-    # completion.
+    # Four lanes, six producers and bursts keep every lane busy, so
+    # most transfers start behind a busy lane; the overhead puts a gap
+    # between the end of service and completion.
     sim = Simulator()
     pipe = BandwidthServer(
         sim, rate=8e9, name="pipe", lanes=4, per_transfer_overhead=usec(0.5)
@@ -188,9 +187,7 @@ def contended_pipe(n: int) -> typing.Any:
         for _ in range(n):
             if rng.random() < 0.3:
                 yield sim.timeout(rng.random() * usec(2))
-            yield pipe.transfer(
-                rng.randrange(64, 65536), priority=rng.randrange(-2, 3), flow=f"f{index}"
-            )
+            yield pipe.transfer(rng.randrange(64, 65536), flow=f"f{index}")
 
     for index in range(6):
         sim.process(producer(index))

@@ -2,8 +2,8 @@
 
 The datapath legs — PCIe DMA, HBM and host-DRAM transfers, block-device
 I/O and transport sends — are generator functions their callers run
-inline with ``yield from``, and a queued bandwidth transfer is a
-callback-driven event. None of them may come back as a ``Process``:
+inline with ``yield from``, and a bandwidth transfer is a single
+completion event. None of them may come back as a ``Process``:
 each one would cost a start event and a completion event per call. The
 one leg that stays a process is the hot-block cache's fire-and-forget
 HBM fill, which runs under its own ``<cache>.fill`` name.
@@ -25,9 +25,9 @@ from repro.workloads import ClientDriver, WriteRequestFactory
 
 #: Exact kernel events of each measured phase (see the module docstring).
 WRITE_REQUESTS = 64
-WRITE_EVENTS = 7325
+WRITE_EVENTS = 5957
 READ_REQUESTS = 64
-READ_EVENTS = 2803
+READ_EVENTS = 2411
 
 
 def is_leg(name: str) -> bool:

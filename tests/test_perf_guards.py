@@ -10,7 +10,7 @@ still fails loudly.
 Measured references (see BENCH_10.json / docs/performance.md):
 kernel ~700K events/s, resource deep-queue ~1.2M ops/s, LZ4 compress
 ~9 MB/s on text blocks, decompress ~20 MB/s, macro experiments
-~250K events/s with the bandwidth fast path off.
+~250K events/s.
 
 The vs-seed guards assert relative speed (current >= seed on the same
 machine in the same process, interleaved) rather than absolute MB/s, so
@@ -19,7 +19,6 @@ scalar scan — the exact regression BENCH_6 recorded for text blocks at
 0.93x — fails loudly regardless of how slow the runner is.
 """
 
-import os
 import time
 
 import pytest
@@ -141,32 +140,23 @@ class TestPerfGuards:
         )
 
     def test_macro_events_per_sec_floors(self):
-        # Quick experiment runs with the bandwidth fast path off (the
-        # fixed reference event stream): floors sit ~10x below the
-        # ~250K events/s BENCH_10 measures so only complexity-class
+        # Quick experiment runs: floors sit ~10x below the ~250K
+        # events/s BENCH_10 measures so only complexity-class
         # regressions in the kernel or model hot paths trip them.
         from repro.experiments import ext_cache, ext_chaos
 
-        previous = os.environ.get("REPRO_BW_FAST_PATH")
-        os.environ["REPRO_BW_FAST_PATH"] = "0"
-        try:
-            for name, module in (("ext_cache", ext_cache), ("ext_chaos", ext_chaos)):
-                sims = []
-                sim_kernel.add_sim_hook(sims.append)
-                try:
-                    started = time.perf_counter()
-                    module.run(quick=True)
-                    seconds = time.perf_counter() - started
-                finally:
-                    sim_kernel.remove_sim_hook(sims.append)
-                events = sum(sim.steps for sim in sims)
-                events_per_sec = events / seconds
-                assert events_per_sec > 25_000, (
-                    f"{name} fell to {events_per_sec:,.0f} events/s "
-                    "(BENCH_10 measures ~250K fast-off; guard is 25K)"
-                )
-        finally:
-            if previous is None:
-                del os.environ["REPRO_BW_FAST_PATH"]
-            else:
-                os.environ["REPRO_BW_FAST_PATH"] = previous
+        for name, module in (("ext_cache", ext_cache), ("ext_chaos", ext_chaos)):
+            sims = []
+            sim_kernel.add_sim_hook(sims.append)
+            try:
+                started = time.perf_counter()
+                module.run(quick=True)
+                seconds = time.perf_counter() - started
+            finally:
+                sim_kernel.remove_sim_hook(sims.append)
+            events = sum(sim.steps for sim in sims)
+            events_per_sec = events / seconds
+            assert events_per_sec > 25_000, (
+                f"{name} fell to {events_per_sec:,.0f} events/s "
+                "(BENCH_10 measures ~250K; guard is 25K)"
+            )

@@ -124,6 +124,53 @@ def test_unhandled_process_exception_surfaces_in_run():
         sim.run()
 
 
+def test_unwaited_process_costs_only_its_start_event():
+    sim = Simulator()
+
+    def body():
+        return 7
+        yield  # pragma: no cover - makes this a generator
+
+    proc = sim.process(body())
+    sim.run()
+    # The start event runs the body; nobody waits, so no completion is
+    # scheduled, yet the process is finished with its value.
+    assert sim.steps == 1
+    assert proc.processed and not proc.is_alive
+    assert proc.value == 7
+
+
+def test_yielding_a_returned_unwaited_process_resumes_with_its_value():
+    sim = Simulator()
+    seen = []
+
+    def child():
+        yield sim.timeout(1.0)
+        return "done"
+
+    def parent(proc):
+        yield sim.timeout(2.0)
+        assert proc.processed
+        seen.append((yield proc))
+        seen.append(sim.now)
+
+    sim.process(parent(sim.process(child())))
+    sim.run()
+    assert seen == ["done", 2.0]
+
+
+def test_unwaited_process_failure_still_surfaces_in_run():
+    sim = Simulator()
+
+    def body():
+        raise RuntimeError("unwaited bug")
+        yield  # pragma: no cover - makes this a generator
+
+    sim.process(body())
+    with pytest.raises(RuntimeError, match="unwaited bug"):
+        sim.run()
+
+
 def test_concurrent_unhandled_exceptions_all_surface():
     """Several processes failing in one step must not lose any failure.
 
