@@ -1,4 +1,4 @@
-"""The repeatable speed program: micro + macro benchmarks emitting BENCH_*.json.
+"""The repeatable speed program: microbenchmarks emitting BENCH_*.json.
 
 Run locally with::
 

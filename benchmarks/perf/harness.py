@@ -1,4 +1,4 @@
-"""Micro + macro benchmarks for the simulator hot paths and the LZ4 codec.
+"""Microbenchmarks for the simulator hot paths and the LZ4 codec.
 
 Every hot-path microbenchmark is measured twice — against the current
 implementation and against the verbatim seed implementation from
@@ -25,7 +25,6 @@ from benchmarks.perf.legacy import (
 )
 from repro.compression.corpus import SilesiaLikeCorpus
 from repro.compression.lz4 import lz4_compress, lz4_decompress
-from repro.sim import kernel
 from repro.sim.kernel import Simulator
 from repro.sim.resources import Resource, Store
 
@@ -42,7 +41,9 @@ BENCH_ISSUE = 10
 #: v3: the ``bandwidth`` section and the macro ``fast_path`` sub-object
 #: are gone with the bandwidth fast/slow fork; macro rows measure the
 #: one transfer path.
-SCHEMA_VERSION = 3
+#: v4: the ``macro`` section and ``summary.macro_events_per_sec`` are
+#: gone; whole-experiment speed is measured by ``benchmarks.e2e``.
+SCHEMA_VERSION = 4
 
 
 def _best_of(body: typing.Callable[[], typing.Any], repeats: int) -> float:
@@ -279,55 +280,6 @@ def bench_lz4(quick: bool) -> dict:
     return result
 
 
-# -- macro: canonical experiment runs --------------------------------------
-
-
-def _run_experiment(module: typing.Any) -> dict:
-    """One experiment run; returns wall/events totals across its simulators.
-
-    Simulators are collected with a sim hook (the same mechanism trace
-    sessions use) so the harness can total events processed across every
-    simulator an experiment creates.
-    """
-    sims: list[Simulator] = []
-    kernel.add_sim_hook(sims.append)
-    try:
-        started = time.perf_counter()
-        module.run(quick=True)
-        seconds = time.perf_counter() - started
-    finally:
-        kernel.remove_sim_hook(sims.append)
-    return {
-        "wall_seconds": seconds,
-        "simulators": len(sims),
-        "events": sum(sim.steps for sim in sims),
-        "max_simulated_seconds": max((sim.now for sim in sims), default=0.0),
-    }
-
-
-def bench_macro(quick: bool) -> dict:
-    """Wall-clock + simulated-events/sec for canonical quick experiment runs."""
-    from repro.experiments import ext_cache, ext_chaos
-
-    # This container's clock speed drifts +-30% on ~10 s scales, which is
-    # exactly the duration of one experiment run — three rounds give each
-    # row a fair shot at a fast phase (best-of keeps the fastest).
-    rounds = 1 if quick else 3
-    out: dict[str, typing.Any] = {}
-    for name, module in (("ext_cache", ext_cache), ("ext_chaos", ext_chaos)):
-        entry = min(
-            (_run_experiment(module) for _ in range(rounds)),
-            key=lambda run: run["wall_seconds"],
-        )
-        entry["events_per_sec"] = (
-            entry["events"] / entry["wall_seconds"] if entry["wall_seconds"] else 0.0
-        )
-        out[name] = entry
-        if quick:
-            break  # one macro experiment keeps the quick mode fast
-    return out
-
-
 # -- top level -------------------------------------------------------------
 
 
@@ -347,11 +299,9 @@ def run_benchmarks(quick: bool = False) -> dict:
         "resource": bench_resource(quick),
         "store": bench_store(quick),
         "lz4": bench_lz4(quick),
-        "macro": bench_macro(quick),
     }
     resource = document["resource"]
     lz4 = document["lz4"]
-    macro = document["macro"]
     document["summary"] = {
         "resource_deep_queue_speedup": resource["speedup"],
         "lz4_compress_low_redundancy_speedup": lz4["compress_low_redundancy_blocks"]["speedup"],
@@ -359,9 +309,6 @@ def run_benchmarks(quick: bool = False) -> dict:
         "lz4_compress_text_speedup": lz4["compress_text_blocks"]["speedup"],
         "lz4_decompress_speedup": lz4["decompress_corpus_blocks"]["speedup"],
         "kernel_events_per_sec": document["kernel"]["process_chain"]["events_per_sec"],
-        "macro_events_per_sec": {
-            name: entry["events_per_sec"] for name, entry in macro.items()
-        },
         "harness_seconds": time.time() - started,
     }
     return document

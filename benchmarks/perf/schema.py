@@ -13,10 +13,8 @@ import typing
 
 _NUMBER = (int, float)
 
-#: Leaf specs are type tuples; dict specs map key -> spec. Keys listed in
-#: ``__optional__`` may be absent; all other keys are required. A spec of
-#: ``dict`` (the type) admits any object — used for sections whose keys
-#: are data-dependent.
+#: Leaf specs are type tuples; dict specs map key -> spec, and every key
+#: is required.
 _TIMING = {"events": _NUMBER, "seconds": _NUMBER, "events_per_sec": _NUMBER}
 
 _COMPRESS_CLASS = {
@@ -61,7 +59,6 @@ BENCH_SPEC: dict = {
             "speedup": _NUMBER,
         },
     },
-    "macro": dict,
     "summary": {
         "resource_deep_queue_speedup": _NUMBER,
         "lz4_compress_low_redundancy_speedup": _NUMBER,
@@ -69,28 +66,19 @@ BENCH_SPEC: dict = {
         "lz4_compress_text_speedup": _NUMBER,
         "lz4_decompress_speedup": _NUMBER,
         "kernel_events_per_sec": _NUMBER,
-        "macro_events_per_sec": dict,
         "harness_seconds": _NUMBER,
     },
 }
 
 
 def _check(value: typing.Any, spec: typing.Any, path: str, problems: list[str]) -> None:
-    if spec is dict:
-        if not isinstance(value, dict):
-            problems.append(f"{path}: expected object, got {type(value).__name__}")
-        return
     if isinstance(spec, dict):
         if not isinstance(value, dict):
             problems.append(f"{path}: expected object, got {type(value).__name__}")
             return
-        optional = spec.get("__optional__", ())
         for key, sub in spec.items():
-            if key == "__optional__":
-                continue
             if key not in value:
-                if key not in optional:
-                    problems.append(f"{path}.{key}: missing")
+                problems.append(f"{path}.{key}: missing")
                 continue
             _check(value[key], sub, f"{path}.{key}", problems)
         return

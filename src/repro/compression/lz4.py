@@ -26,17 +26,9 @@ blocks:
   the output block is assembled with gather/scatter index arithmetic.
   The only per-sequence Python left is a pointer-following loop over a
   precomputed jump table. See ``docs/performance.md`` for the profile.
-
-An optional *native* backend (the ``lz4`` PyPI package's block API) can
-take over compression when ``REPRO_LZ4_NATIVE=1`` and the package is
-importable; its output is standard block format and round-trips through
-:func:`lz4_decompress`. The pure codec remains the default and the
-fidelity reference.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -110,36 +102,6 @@ class CorruptFrameError(ValueError):
     """Raised when decompression meets malformed input."""
 
 
-# --------------------------------------------------------------------------
-# Optional native backend (the `lz4` PyPI package), env-gated.
-
-_native_module: object = None
-_native_probed = False
-
-
-def native_backend_available() -> bool:
-    """True when the ``lz4`` PyPI package's block API is importable."""
-    global _native_module, _native_probed
-    if not _native_probed:
-        _native_probed = True
-        try:
-            from lz4 import block as _block  # type: ignore[import-not-found]
-
-            _native_module = _block
-        except Exception:
-            _native_module = None
-    return _native_module is not None
-
-
-def _native_backend():
-    """The native block module, iff enabled via ``REPRO_LZ4_NATIVE=1``."""
-    if os.environ.get("REPRO_LZ4_NATIVE") != "1":
-        return None
-    if not native_backend_available():
-        return None
-    return _native_module
-
-
 def _write_lsic(out: bytearray, value: int) -> None:
     """Append the LSIC (Linear Small-Integer Code) extension for `value`."""
     while value >= 255:
@@ -189,19 +151,10 @@ def lz4_compress(
     (``_compress_scalar``). Both emit standard block format; they may
     pick different (equally valid) matches.
 
-    When ``REPRO_LZ4_NATIVE=1`` and the ``lz4`` PyPI package is
-    installed, compression is delegated to the native block API instead
-    (unless `_stats` or a non-default `_hash_log` is requested, which
-    only the pure paths honour).
-
     `_stats`, when given a dict, receives ``table_slots`` and
     ``peak_table_entries`` (test/diagnostic hook; zero hot-path cost) —
     both are at most ``2**_hash_log`` for any input size.
     """
-    if _stats is None and _hash_log == HASH_LOG:
-        native = _native_backend()
-        if native is not None:
-            return native.compress(bytes(data), store_size=False)
     src = memoryview(bytes(data))
     n = len(src)
     if _VECTOR_MIN <= n <= _VECTOR_MAX:
@@ -581,19 +534,6 @@ def _scatter_lsic(
     ramp = _iota(total) - np.repeat(np.cumsum(c) - c, c)
     buf[np.repeat(st, c) + ramp] = 255
     buf[st + c - 1] = value[has] % 255
-
-
-def _read_lsic(blob: bytes, pos: int) -> tuple[int, int]:
-    """Read an LSIC extension at `pos`; returns (value, next position)."""
-    total = 0
-    while True:
-        if pos >= len(blob):
-            raise CorruptFrameError("truncated LSIC length extension")
-        byte = blob[pos]
-        pos += 1
-        total += byte
-        if byte != 255:
-            return total, pos
 
 
 def lz4_decompress(blob: bytes, max_output: int = 1 << 30) -> bytes:

@@ -105,7 +105,7 @@ class AcceleratorMiddleTier(MiddleTierServer):
         if message.header.get("latency_sensitive") or not self._compression_allowed():
             outgoing = payload
         else:
-            outgoing = yield self.sim.process(self._engine_compress(payload))
+            outgoing = yield from self._engine_compress(payload)
         # The CPU polls the completion and posts the storage sends.
         posts = self.platform.storage.replication + 1
         yield self.sim.timeout(host.post_descriptor_time * posts)

@@ -89,7 +89,7 @@ class LsmCompactionService:
                 if len(entries) >= self.threshold
             ]
             for chunk_id in ripe:
-                yield self.sim.process(self._compact(chunk_id))
+                yield from self._compact(chunk_id)
 
     def _compact(self, chunk_id: int) -> typing.Generator:
         entries = self.tier._chunk_log.pop(chunk_id, [])
@@ -159,7 +159,7 @@ class LsmCompactionService:
             self._previous_output[(chunk_id, block_id)] = records
         for address, locations in dead_by_server.items():
             server = self.tier.testbed.server(address)
-            reclaimed = yield self.sim.process(self._gc(server, chunk_id, locations))
+            reclaimed = yield from self._gc(server, chunk_id, locations)
             self.bytes_reclaimed.add(reclaimed)
 
     def _gc(
@@ -278,7 +278,7 @@ class HeartbeatMonitor:
                     # de-synchronized across monitors by seed.
                     if self.sim.now < self._next_probe.get(address, 0.0):
                         continue
-                    alive = yield self.sim.process(self._ping(server))
+                    alive = yield from self._ping(server)
                     if alive:
                         # The server came back: return it to the pool.
                         self.suspected.discard(address)
@@ -292,7 +292,7 @@ class HeartbeatMonitor:
                             self.seed, self.interval, self.probe_jitter, address, count
                         )
                     continue
-                alive = yield self.sim.process(self._ping(server))
+                alive = yield from self._ping(server)
                 if not alive:
                     self.suspected.add(address)
                     self.failures_detected.add()
@@ -300,7 +300,7 @@ class HeartbeatMonitor:
                     self._next_probe[address] = self.sim.now + probe_delay(
                         self.seed, self.interval, self.probe_jitter, address, 0
                     )
-                    yield self.sim.process(self._re_replicate(server.address))
+                    yield from self._re_replicate(server.address)
 
     def _ping(self, server: "StorageServer") -> typing.Generator:
         qp, matcher = self.tier._storage_links[server.address]

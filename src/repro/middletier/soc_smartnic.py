@@ -68,7 +68,7 @@ class OnBoardEngineTier(MiddleTierServer):
         if message.header.get("latency_sensitive") or not self._compression_allowed():
             outgoing = payload
         else:
-            outgoing = yield self.sim.process(self._engine_compress(payload))
+            outgoing = yield from self._engine_compress(payload)
         self._spawn_completion(qp, message, outgoing)
 
     def _engine_compress(self, payload: Payload) -> typing.Generator:

@@ -73,9 +73,6 @@ class Simulator:
         # add, and tracked() filters dead refs on the (rare) read side.
         self._process_refs: list[weakref.ref] = []
         self._tracked: dict[str, weakref.WeakSet] = {}
-        # Shared fluid-window timeouts keyed by quantized fire time
-        # (see fluid_timeout); entries remove themselves on firing.
-        self._fluid: dict[float, Timeout] = {}
         # Observability attach points (see repro.telemetry.spans and
         # .registry): None means untraced, the common case — every
         # instrumentation site guards on that before doing any work.
@@ -104,33 +101,6 @@ class Simulator:
     def timeout(self, delay: float, value: typing.Any = None) -> Timeout:
         """Create an event that fires `delay` seconds from now."""
         return Timeout(self, delay, value)
-
-    def fluid_timeout(self, delay: float, window: float, value: typing.Any = None) -> Timeout:
-        """A shared timeout, quantized *up* to the end of a `window` slot.
-
-        Every caller whose requested fire time (``now + delay``) lands in
-        the same window slot gets the *same* event object — one heap
-        entry for an entire storm of co-expiring waits — at the cost of
-        firing up to `window` late. Use only where the exact interleaving
-        of completions inside one window provably does not matter (e.g.
-        homogeneous fan-out arms all awaited together); anything that
-        feeds back into queueing decisions must use :meth:`timeout`.
-
-        The shared `value` is delivered to every waiter, so per-waiter
-        values are not supported; entries clean themselves out of the
-        bucket table when they fire.
-        """
-        if window <= 0:
-            raise SimulationError(f"fluid window must be positive, got {window!r}")
-        if delay < 0:
-            raise SimulationError(f"negative timeout delay {delay!r}")
-        bucket = math.ceil((self._now + delay) / window) * window
-        event = self._fluid.get(bucket)
-        if event is None:
-            event = Timeout(self, bucket - self._now, value)
-            self._fluid[bucket] = event
-            event.callbacks.append(lambda _event, _key=bucket: self._fluid.pop(_key, None))
-        return event
 
     def process(self, generator: typing.Generator, name: str = "", daemon: bool = False) -> Process:
         """Wrap a generator as a running process; it starts at the current time.
@@ -219,21 +189,26 @@ class Simulator:
         """Run until the queue drains, a deadline passes, or an event fires.
 
         `until` may be ``None`` (drain the queue), a float deadline in
-        seconds, or an :class:`Event` whose value is returned.
+        seconds, or an :class:`Event` whose value is returned. An event
+        scheduled exactly at the deadline is still dispatched.
         """
-        stop_event: Event | None = None
+        horizon = math.inf
         deadline: float | None = None
         if isinstance(until, Event):
-            stop_event = until
-        elif until is not None:
-            deadline = float(until)
-            if deadline < self._now:
-                raise SimulationError(f"deadline {deadline!r} is in the past (now={self._now!r})")
+            stop = until
+        else:
+            stop = Event(self, name="never")  # nobody triggers it
+            if until is not None:
+                deadline = horizon = float(until)
+                if deadline < self._now:
+                    raise SimulationError(f"deadline {deadline!r} is in the past (now={self._now!r})")
 
-        # The loops below are specialized per mode so each loop head
-        # holds only its own termination check: the body of step() is
-        # inlined with the queue, heappop, and tracer list held in
-        # locals, because the per-event method call and attribute
+        # One loop serves every mode, because interleaved end-to-end runs
+        # showed no speed to gain from a loop specialized per mode: drain
+        # and deadline runs stop on an event that is never processed, and
+        # drain and stop-event runs have an infinite horizon. The body of
+        # step() is inlined with the queue, heappop, and tracer list held
+        # in locals, because the per-event method call and attribute
         # traffic are measurable at millions of events. The step counter
         # is accumulated locally and folded back in the finally block
         # (nothing reads it mid-callback).
@@ -252,74 +227,36 @@ class Simulator:
         gc_was_enabled = gc.isenabled()
         gc.disable()
         try:
-            if stop_event is None and deadline is None:
-                # Drain mode: no per-step termination checks.
-                while queue:
-                    when, _seq, event = pop(queue)
-                    self._now = when
-                    processed += 1
-                    if tracers:
-                        for tracer in tracers:
-                            tracer._record(when, event)
-                    callbacks, event.callbacks = event.callbacks, None  # type: ignore[assignment]
-                    for callback in callbacks:
-                        callback(event)
-                    if not event._ok and not event._defused:
-                        unhandled.append(typing.cast(BaseException, event._value))
-                    if unhandled:
-                        self._raise_unhandled()
-            elif deadline is None:
-                # Stop-event mode (experiments run in the until-modes, so
-                # they are just as hot as drain mode).
-                while queue:
-                    if stop_event.callbacks is None:  # processed
-                        break
-                    when, _seq, event = pop(queue)
-                    self._now = when
-                    processed += 1
-                    if tracers:
-                        for tracer in tracers:
-                            tracer._record(when, event)
-                    callbacks, event.callbacks = event.callbacks, None  # type: ignore[assignment]
-                    for callback in callbacks:
-                        callback(event)
-                    if not event._ok and not event._defused:
-                        unhandled.append(typing.cast(BaseException, event._value))
-                    if unhandled:
-                        self._raise_unhandled()
-            else:
-                # Deadline mode: only the next-event-past-deadline check.
-                while queue:
-                    if queue[0][0] > deadline:
-                        self._now = deadline
-                        return None
-                    when, _seq, event = pop(queue)
-                    self._now = when
-                    processed += 1
-                    if tracers:
-                        for tracer in tracers:
-                            tracer._record(when, event)
-                    callbacks, event.callbacks = event.callbacks, None  # type: ignore[assignment]
-                    for callback in callbacks:
-                        callback(event)
-                    if not event._ok and not event._defused:
-                        unhandled.append(typing.cast(BaseException, event._value))
-                    if unhandled:
-                        self._raise_unhandled()
+            while queue:
+                if stop.callbacks is None or queue[0][0] > horizon:
+                    break
+                when, _seq, event = pop(queue)
+                self._now = when
+                processed += 1
+                if tracers:
+                    for tracer in tracers:
+                        tracer._record(when, event)
+                callbacks, event.callbacks = event.callbacks, None  # type: ignore[assignment]
+                for callback in callbacks:
+                    callback(event)
+                if not event._ok and not event._defused:
+                    unhandled.append(typing.cast(BaseException, event._value))
+                if unhandled:
+                    self._raise_unhandled()
         finally:
             self._steps += processed
             if gc_was_enabled:
                 gc.enable()
 
-        if stop_event is not None:
-            if not stop_event.triggered:
-                raise SimulationError(f"run() ended before {stop_event!r} fired")
-            if not stop_event.ok:
-                raise typing.cast(BaseException, stop_event._value)
-            return stop_event.value
         if deadline is not None:
             self._now = deadline
-        return None
+        if stop is not until:
+            return None
+        if not stop.triggered:
+            raise SimulationError(f"run() ended before {stop!r} fired")
+        if not stop.ok:
+            raise typing.cast(BaseException, stop._value)
+        return stop.value
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if the queue is empty."""

@@ -24,10 +24,6 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.kernel import Simulator
 
 
-class ServerFailed(RuntimeError):
-    """Raised into service loops when the server is failed mid-request."""
-
-
 class StorageServer:
     """One back-end storage server."""
 

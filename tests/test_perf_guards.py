@@ -9,8 +9,9 @@ still fails loudly.
 
 Measured references (see BENCH_10.json / docs/performance.md):
 kernel ~700K events/s, resource deep-queue ~1.2M ops/s, LZ4 compress
-~9 MB/s on text blocks, decompress ~20 MB/s, macro experiments
-~250K events/s.
+~9 MB/s on text blocks, decompress ~20 MB/s. The quick-experiment floor
+refers to BENCH_10.json's macro rows (~250K events/s), which the harness
+no longer has; ``benchmarks/e2e`` measures whole runs.
 
 The vs-seed guards assert relative speed (current >= seed on the same
 machine in the same process, interleaved) rather than absolute MB/s, so

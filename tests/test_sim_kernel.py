@@ -311,6 +311,76 @@ def test_all_of_failing_fast_defuses_a_later_failure():
     assert caught == [(1.0, "first")]
 
 
+@pytest.mark.parametrize("deadline", [0.0, 2.0])
+def test_event_exactly_at_the_deadline_is_dispatched(deadline):
+    sim = Simulator()
+    fired = []
+    sim.timeout(deadline).callbacks.append(lambda _event: fired.append(sim.now))
+    sim.timeout(deadline + 1.0)
+    sim.run(until=deadline)
+    assert fired == [deadline]
+    assert sim.now == deadline
+    assert sim.peek() == deadline + 1.0
+
+
+@pytest.mark.parametrize("queued_after", [1, 3])
+def test_run_until_event_stops_before_same_instant_events_queued_after_it(queued_after):
+    sim = Simulator()
+    order = []
+
+    def mark(tag):
+        sim.timeout(1.0).callbacks.append(lambda _event: order.append(tag))
+
+    mark("before")
+    stop = sim.timeout(1.0, value="stop")
+    for tag in range(queued_after):
+        mark(tag)
+    assert sim.run(until=stop) == "stop"
+    assert order == ["before"]
+    assert sim.now == 1.0
+    steps = sim.steps
+    # The stop event is already processed: a second run dispatches nothing.
+    assert sim.run(until=stop) == "stop"
+    assert sim.steps == steps
+    sim.run()
+    assert order == ["before", *range(queued_after)]
+
+
+@pytest.mark.parametrize("queued", [0, 2])
+def test_run_until_event_raises_when_the_queue_drains_first(queued):
+    sim = Simulator()
+    for _ in range(queued):
+        sim.timeout(1.0)
+    with pytest.raises(SimulationError, match="ended before"):
+        sim.run(until=sim.event())
+    assert sim.steps == queued
+
+
+@pytest.mark.parametrize("mode", ["drain", "deadline-past-end", "stop-event"])
+def test_every_mode_dispatches_the_same_schedule(mode):
+    def build():
+        sim = Simulator()
+
+        def worker(delay):
+            for _ in range(3):
+                yield sim.timeout(delay)
+
+        def main():
+            yield sim.all_of([sim.process(worker(delay)) for delay in (0.5, 1.0, 1.0)])
+            yield sim.timeout(2.0)
+            return "done"
+
+        return sim, sim.process(main())
+
+    reference, _ = build()
+    reference.run()
+    sim, main = build()
+    until = {"drain": None, "deadline-past-end": 100.0, "stop-event": main}[mode]
+    assert sim.run(until=until) == ("done" if mode == "stop-event" else None)
+    assert sim.steps == reference.steps
+    assert sim.now == (100.0 if mode == "deadline-past-end" else reference.now)
+
+
 @pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
 @pytest.mark.parametrize("mode", ["drain", "deadline", "stop-event", "raising-callback"])
 def test_run_restores_the_collector_state(enabled, mode):
