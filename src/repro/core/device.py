@@ -258,8 +258,11 @@ class DeviceMemoryAllocator:
             buffer = self.try_alloc(size)
             if buffer is not None:
                 self.cancel_headroom(headroom)
+                # The deadline outlives each iteration's race, so only
+                # here is it decided; every condition on it has fired.
+                deadline.cancel()
                 return buffer
-            if deadline.triggered:
+            if deadline.processed:
                 self.cancel_headroom(headroom)
                 self.alloc_rejected.add()
                 return None

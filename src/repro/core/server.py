@@ -221,7 +221,7 @@ class SmartDsMiddleTier(MiddleTierServer):
     def _brownout_repost(self, port_index: int, qp: QueuePair) -> typing.Generator:
         """Restore a brownout-withheld descriptor once the ladder descends."""
         while self.admission is not None and self.admission.prefer_host_ingress():
-            if not self.sim._queue:
+            if self.sim.idle:
                 # Idle sim: never hold up a drain-mode run; the window
                 # slot is restored by the next attach in a later phase.
                 return

@@ -496,7 +496,7 @@ class AdmissionController:
                 yield self.sim.timeout(interval)
                 for pool in self.pools.values():
                     pool.adapt(interval)
-                if not self.sim._queue:
+                if self.sim.idle:
                     return  # idle sim: never hold up a drain-mode run
         finally:
             self._adapting = False

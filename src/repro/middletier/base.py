@@ -578,7 +578,9 @@ class MiddleTierServer(abc.ABC):
                 timeout = policy.timeout_for(attempts)
                 try:
                     yield from qp.transmit(store_msg)
-                    yield AnyOf(self.sim, [ack_event, self.sim.timeout(timeout)])
+                    deadline = self.sim.timeout(timeout)
+                    yield AnyOf(self.sim, [ack_event, deadline])
+                    deadline.cancel()
                 finally:
                     self.testbed.policy.complete(server)
                     if not ack_event.triggered:
@@ -788,7 +790,9 @@ class MiddleTierServer(abc.ABC):
             events = yield from self._send_fetch(server, message, fetch)
             # One time-out per attempt: the deadline and the span agree.
             timeout = policy.timeout_for(attempts, self.sim.now - started)
-            yield AnyOf(self.sim, [*events, self.sim.timeout(timeout)])
+            deadline = self.sim.timeout(timeout)
+            yield AnyOf(self.sim, [*events, deadline])
+            deadline.cancel()
             fetched = self._take_fetch(server, message, fetch, events, attempt_span)
             if fetched is not None:
                 if self.admission is not None:

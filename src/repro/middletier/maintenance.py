@@ -309,6 +309,7 @@ class HeartbeatMonitor:
         yield from qp.transmit(message)
         deadline = self.sim.timeout(self.timeout)
         yield AnyOf(self.sim, [pong_event, deadline])
+        deadline.cancel()
         if pong_event.triggered:
             return True
         matcher.forget(message.request_id)

@@ -110,7 +110,7 @@ def _only_daemons(event: Event) -> bool:
 class DrainAuditor:
     """Checks a simulator's resource/store/process invariants at drain.
 
-    Meaningful once the event queue has drained (``sim.peek() == inf``):
+    Meaningful once the event queue has drained (``sim.idle``):
     at that point every still-granted resource slot is leaked, every
     queued request or store waiter is stranded forever, and every alive
     non-daemon process is stuck. Attached :class:`FlowLedger` expectations
@@ -123,12 +123,13 @@ class DrainAuditor:
     def audit(self) -> AuditReport:
         """Inspect the simulator and return an :class:`AuditReport`."""
         report = AuditReport()
-        if self.sim._queue:
+        if not self.sim.idle:
+            queued = len(self.sim._queue) - self.sim._withdrawn
             report.findings.append(
                 AuditFinding(
                     kind="not-drained",
                     subject=repr(self.sim),
-                    detail=f"{len(self.sim._queue)} event(s) still queued; audit is partial",
+                    detail=f"{queued} event(s) still queued; audit is partial",
                 )
             )
         self._audit_resources(report)

@@ -24,6 +24,9 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: Sentinel for "event has not fired yet".
 _PENDING = object()
 
+#: Value of a timer withdrawn by :meth:`Timeout.cancel`; it never fires.
+_WITHDRAWN = object()
+
 
 class SimulationError(RuntimeError):
     """Raised for kernel misuse (double trigger, negative delay, ...)."""
@@ -35,7 +38,8 @@ class Event:
     Events move through three states: *pending* (created), *triggered*
     (scheduled on the event queue with a value), and *processed* (the
     kernel has run its callbacks). ``yield``-ing a processed event
-    resumes the process immediately on the next kernel step.
+    resumes the process immediately on the next kernel step. A
+    :class:`Timeout` may instead end *withdrawn* (:meth:`Timeout.cancel`).
     """
 
     __slots__ = ("sim", "_name", "callbacks", "_value", "_ok", "_defused", "__weakref__")
@@ -65,7 +69,7 @@ class Event:
     @property
     def processed(self) -> bool:
         """True once callbacks have run (callbacks list is consumed)."""
-        return self.callbacks is None  # type: ignore[return-value]
+        return self.callbacks is None and self._value is not _WITHDRAWN
 
     @property
     def ok(self) -> bool:
@@ -75,9 +79,10 @@ class Event:
     @property
     def value(self) -> typing.Any:
         """The event's result; raises if the event is still pending."""
-        if self._value is _PENDING:
-            raise SimulationError(f"value of {self!r} is not yet available")
-        return self._value
+        value = self._value
+        if value is _PENDING or value is _WITHDRAWN:
+            raise SimulationError(f"value of {self!r} is not available")
+        return value
 
     def succeed(self, value: typing.Any = None, delay: float = 0.0) -> "Event":
         """Trigger the event successfully with `value` after `delay`."""
@@ -110,7 +115,12 @@ class Event:
         self._defused = True
 
     def __repr__(self) -> str:
-        state = "processed" if self.processed else ("triggered" if self.triggered else "pending")
+        if self._value is _WITHDRAWN:
+            state = "withdrawn"
+        elif self.processed:
+            state = "processed"
+        else:
+            state = "triggered" if self.triggered else "pending"
         label = f" {self.name!r}" if self.name else ""
         return f"<{type(self).__name__}{label} {state}>"
 
@@ -142,6 +152,33 @@ class Timeout(Event):
     def name(self, value: str) -> None:
         self._name = value
 
+    def cancel(self) -> None:
+        """Withdraw the timer once the race it guarded is decided.
+
+        A withdrawn timer never runs its callbacks, is not counted in
+        :attr:`Simulator.steps`, is not shown to tracers and does not
+        advance the clock; its queue entry is dropped lazily. Cancelling
+        a timer that has already fired (or was already withdrawn) does
+        nothing. The only waiter it may still have is a condition that
+        has already fired; anything else would be stranded, so that
+        raises :class:`SimulationError`, as does a later ``yield`` of
+        the withdrawn timer.
+        """
+        callbacks = self.callbacks
+        if callbacks is None:
+            return
+        for callback in callbacks:
+            owner = getattr(callback, "__self__", None)
+            if (
+                not isinstance(owner, _Condition)
+                or callback.__func__ is not _Condition._observe
+                or not owner.triggered
+            ):
+                raise SimulationError(f"cannot cancel {self!r}: {callback!r} still waits on it")
+        self.callbacks = None  # type: ignore[assignment]
+        self._value = _WITHDRAWN
+        self.sim._withdraw()
+
 
 class _Condition(Event):
     """Shared machinery for :class:`AllOf` / :class:`AnyOf`.
@@ -162,6 +199,8 @@ class _Condition(Event):
         for event in self._events:
             if event.sim is not sim:
                 raise SimulationError("all events of a condition must share a simulator")
+            if event._value is _WITHDRAWN:
+                raise SimulationError(f"cannot wait on withdrawn {event!r}")
         for event in self._events:
             if event.processed:
                 self._observe(event)

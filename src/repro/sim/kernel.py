@@ -12,7 +12,7 @@ import gc
 import math
 import typing
 import weakref
-from heapq import heappop, heappush
+from heapq import heapify, heappop, heappush
 from itertools import count
 
 from repro.sim.events import AllOf, AnyOf, Event, SimulationError, Timeout
@@ -28,6 +28,13 @@ _live_simulators: "weakref.WeakSet[Simulator]" = weakref.WeakSet()
 #: span collectors / metric registries to every simulator an experiment
 #: creates, without threading a collector through every run() signature.
 _sim_hooks: list[typing.Callable[["Simulator"], None]] = []
+
+#: Withdrawn timers may sit in the event heap until they outnumber the
+#: live entries; below this many the heap is never rebuilt for them.
+_WITHDRAWN_FLOOR = 64
+
+#: The process registry is never compacted below this many refs.
+_PROCESS_REFS_FLOOR = 256
 
 
 def live_simulators() -> tuple["Simulator", ...]:
@@ -60,6 +67,9 @@ class Simulator:
     def __init__(self) -> None:
         self._now = 0.0
         self._queue: list[tuple[float, int, Event]] = []
+        # Withdrawn timers (Timeout.cancel) still in _queue: they are
+        # skipped when popped and purged once they are most of the heap.
+        self._withdrawn = 0
         self._sequence = count()
         self._steps = 0
         self._unhandled: list[BaseException] = []
@@ -70,8 +80,10 @@ class Simulator:
         # hottest tracked constructor by orders of magnitude — go into a
         # plain list of bare weakrefs instead of a WeakSet: appending a
         # callbackless weakref is several times cheaper than a WeakSet
-        # add, and tracked() filters dead refs on the (rare) read side.
+        # add. Dead refs are dropped once the list outgrows
+        # _process_refs_limit (see _compact_process_refs).
         self._process_refs: list[weakref.ref] = []
+        self._process_refs_limit = _PROCESS_REFS_FLOOR
         self._tracked: dict[str, weakref.WeakSet] = {}
         # Observability attach points (see repro.telemetry.spans and
         # .registry): None means untraced, the common case — every
@@ -91,6 +103,11 @@ class Simulator:
     def steps(self) -> int:
         """Number of events processed so far (the perf harness reads this)."""
         return self._steps
+
+    @property
+    def idle(self) -> bool:
+        """True when no live event is queued (withdrawn timers do not count)."""
+        return len(self._queue) <= self._withdrawn
 
     # -- event factories -------------------------------------------------
 
@@ -126,6 +143,26 @@ class Simulator:
             raise SimulationError(f"cannot schedule {event!r} in the past (delay={delay!r})")
         heappush(self._queue, (self._now + delay, next(self._sequence), event))
 
+    def _withdraw(self) -> None:
+        """Count one withdrawn timer; purge them once they are most of the heap.
+
+        The heap is rebuilt in place, because :meth:`run` holds it in a
+        local. Entries pop in ``(time, seq)`` order and ``seq`` is
+        unique, so the rebuild cannot reorder live events.
+        """
+        self._withdrawn += 1
+        queue = self._queue
+        if self._withdrawn > _WITHDRAWN_FLOOR and 2 * self._withdrawn > len(queue):
+            queue[:] = [entry for entry in queue if entry[2].callbacks is not None]
+            heapify(queue)
+            self._withdrawn = 0
+
+    def _compact_process_refs(self) -> None:
+        """Drop dead process refs; compact again once the list doubles."""
+        live = [proc_ref for proc_ref in self._process_refs if proc_ref() is not None]
+        self._process_refs = live
+        self._process_refs_limit = max(_PROCESS_REFS_FLOOR, 2 * len(live))
+
     def _report_unhandled(self, exc: BaseException) -> None:
         self._unhandled.append(exc)
 
@@ -139,24 +176,28 @@ class Simulator:
     def tracked(self, category: str) -> tuple:
         """Live tracked objects of `category` ("resource", "store", ...)."""
         if category == "process":
-            live = [proc for ref in self._process_refs if (proc := ref()) is not None]
-            if len(live) < len(self._process_refs):
-                self._process_refs = [weakref.ref(proc) for proc in live]
-            return tuple(live)
+            self._compact_process_refs()
+            return tuple(proc_ref() for proc_ref in self._process_refs)
         registry = self._tracked.get(category)
         return tuple(registry) if registry is not None else ()
 
     def step(self) -> None:
-        """Process the single next event; raises if the queue is empty."""
-        if not self._queue:
-            raise SimulationError("step() on an empty event queue")
-        when, _seq, event = heappop(self._queue)
+        """Process the single next live event; raises if there is none."""
+        queue = self._queue
+        while True:
+            if not queue:
+                raise SimulationError("step() on an empty event queue")
+            when, _seq, event = heappop(queue)
+            callbacks = event.callbacks
+            if callbacks is not None:
+                break
+            self._withdrawn -= 1  # a withdrawn timer: drop it unseen
         self._now = when
         self._steps += 1
         if self._tracers:
             for tracer in self._tracers:
                 tracer._record(when, event)
-        callbacks, event.callbacks = event.callbacks, None  # type: ignore[assignment]
+        event.callbacks = None  # type: ignore[assignment]
         for callback in callbacks:
             callback(event)
         if not event._ok and not event._defused:
@@ -211,7 +252,9 @@ class Simulator:
         # in locals, because the per-event method call and attribute
         # traffic are measurable at millions of events. The step counter
         # is accumulated locally and folded back in the finally block
-        # (nothing reads it mid-callback).
+        # (nothing reads it mid-callback). A popped entry whose callbacks
+        # are already gone is a withdrawn timer (Timeout.cancel): every
+        # other queued event keeps its list until it is dispatched here.
         #
         # The cyclic garbage collector is paused while events dispatch.
         # The kernel's per-request objects (events, requests, processes,
@@ -231,12 +274,16 @@ class Simulator:
                 if stop.callbacks is None or queue[0][0] > horizon:
                     break
                 when, _seq, event = pop(queue)
+                callbacks = event.callbacks
+                if callbacks is None:
+                    self._withdrawn -= 1
+                    continue
                 self._now = when
                 processed += 1
                 if tracers:
                     for tracer in tracers:
                         tracer._record(when, event)
-                callbacks, event.callbacks = event.callbacks, None  # type: ignore[assignment]
+                event.callbacks = None  # type: ignore[assignment]
                 for callback in callbacks:
                     callback(event)
                 if not event._ok and not event._defused:
@@ -259,8 +306,12 @@ class Simulator:
         return stop.value
 
     def peek(self) -> float:
-        """Time of the next scheduled event, or ``inf`` if the queue is empty."""
-        return self._queue[0][0] if self._queue else float("inf")
+        """Time of the next live event, or ``inf`` if none is queued."""
+        queue = self._queue
+        while queue and queue[0][2].callbacks is None:
+            heappop(queue)  # withdrawn timers at the head go now
+            self._withdrawn -= 1
+        return queue[0][0] if queue else float("inf")
 
     def __repr__(self) -> str:
-        return f"<Simulator t={self._now:.9f} pending={len(self._queue)}>"
+        return f"<Simulator t={self._now:.9f} pending={len(self._queue) - self._withdrawn}>"

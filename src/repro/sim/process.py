@@ -15,7 +15,7 @@ from heapq import heappush
 from types import GeneratorType
 from weakref import ref
 
-from repro.sim.events import _PENDING, Event, SimulationError
+from repro.sim.events import _PENDING, _WITHDRAWN, Event, SimulationError
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.kernel import Simulator
@@ -65,10 +65,11 @@ class Process(Event):
         refs = getattr(sim, "_process_refs", None)
         if refs is not None:
             refs.append(ref(self))
-            # Amortized compaction bound for very long-running sims; the
-            # auditor-side read (Simulator.tracked) also compacts.
-            if len(refs) > 1_000_000:
-                sim._process_refs = [r for r in refs if r() is not None]
+            # Drop dead refs once the list doubles past its last live
+            # size: amortized O(1) per process, and the registry stays
+            # proportional to the processes alive, not to those created.
+            if len(refs) > sim._process_refs_limit:
+                sim._compact_process_refs()
         # Kick the process off via an immediately-succeeding event so that
         # creation order equals start order and creation itself cannot raise
         # model exceptions. Built field-by-field: this start event and its
@@ -155,6 +156,8 @@ class Process(Event):
                 f"process {self.name!r} yielded {target!r}; processes may only yield events"
             )
         if target.callbacks is None:  # processed
+            if target._value is _WITHDRAWN:
+                raise SimulationError(f"process {self.name!r} yielded withdrawn {target!r}")
             # Already-fired event: resume on the next kernel step via a
             # poke event carrying the target's outcome (built inline —
             # this sits on the resume hot path).

@@ -12,9 +12,12 @@ series one place:
 Gauges additionally get periodic time-series sampling: a daemon sim
 process wakes every `interval` seconds and snapshots every gauge's
 level, so occupancy/queue-depth curves come out of a run for free
-(``registry.samples()``). The sampler stops itself when the event queue
-drains, so it never wedges drain-mode ``sim.run()`` or the tests' drain
-auditor.
+(``registry.samples()``). The sampler stops itself once a tick finds
+the simulator idle (``Simulator.idle``: no live event queued, withdrawn
+timers do not count), so it never wedges drain-mode ``sim.run()`` or
+the tests' drain auditor. A fail-over deadline whose race is decided
+is withdrawn (``Timeout.cancel``), so it does not keep the sampler
+ticking until it would have expired.
 
 Like span collection, registration is optional: ``registry_for(sim)``
 returns ``None`` on an unattached simulator and components skip
@@ -336,11 +339,12 @@ class MetricsRegistry:
         """Start the periodic gauge sampler on `sim`.
 
         The sampler is a daemon process (exempt from the drain audit)
-        and exits as soon as it finds the event queue empty after a
-        tick, so a drain-mode ``sim.run()`` still terminates.
+        and exits as soon as it finds the simulator idle after a tick
+        (``Simulator.idle``), so a drain-mode ``sim.run()`` still
+        terminates.
 
         Idle-sim edge: with several samplers on one sim, each one's
-        next tick keeps the queue non-empty for the others, so none
+        next tick keeps the simulator busy for the others, so none
         ever takes the idle exit (a drain-mode run never terminates —
         use a deadline).
         """
@@ -356,7 +360,7 @@ class MetricsRegistry:
                     self.sample_now(sim.now)
                     # Idle sim: stop rather than keep the queue non-empty
                     # forever (the next attach restarts us).
-                    if not sim._queue:
+                    if sim.idle:
                         return
                     yield sim.timeout(interval)
             finally:

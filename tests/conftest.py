@@ -49,7 +49,7 @@ def pytest_runtest_call(item):
     for sim in kernel.live_simulators():
         if sim in before:
             continue  # created by an earlier test or fixture
-        if sim._queue:
+        if not sim.idle:
             continue  # never drained (deadline run / unfinished): audit is not meaningful
         report = DrainAuditor(sim).audit()
         if not report.ok:

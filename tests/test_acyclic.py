@@ -16,6 +16,7 @@ import dataclasses
 import gc
 import random
 import typing
+import weakref
 
 import pytest
 
@@ -29,7 +30,7 @@ from repro.params import (
     ClusterSpec,
     FlightSpec,
 )
-from repro.sim import BandwidthServer, FaultPlan, FlowLedger, Simulator
+from repro.sim import AnyOf, BandwidthServer, FaultPlan, FlowLedger, Simulator
 from repro.telemetry import BandwidthMeter, SpanCollector
 from repro.units import kib, usec
 from repro.workloads import ClientDriver, OpenLoopDriver, RoutingClient, WriteRequestFactory
@@ -211,3 +212,21 @@ def contended_pipe(n: int) -> typing.Any:
 )
 def test_requests_leave_no_cyclic_garbage(shape):
     assert_no_growth(shape)
+
+
+def test_a_withdrawn_timer_releases_its_condition():
+    # A losing deadline holds its race through the condition's callback
+    # until it expires; withdrawing it must let the race go at once.
+    sim = Simulator()
+    ack = sim.event()
+    deadline = sim.timeout(100.0)
+    race = AnyOf(sim, [ack, deadline])
+    ack.succeed()
+    sim.run(until=race)
+    watch = weakref.ref(race)
+    del race
+    assert watch() is not None  # still referenced by the pending deadline
+    deadline.cancel()
+    assert watch() is None
+    sim.run()
+    assert sim.now == 0.0

@@ -10,6 +10,12 @@ HBM fill, which runs under its own ``<cache>.fill`` name.
 
 Event counts are deterministic for a seed, so the budgets are exact. A
 change that moves one on purpose re-records it here and says why.
+
+The write run also pins the kernel's footprint: the event heap's
+high-water mark and the process registry's length at the end. A race
+site that leaves its decided deadline queued (instead of calling
+``Timeout.cancel``), or a registry that stops dropping dead processes,
+moves them.
 """
 
 from __future__ import annotations
@@ -28,6 +34,10 @@ WRITE_REQUESTS = 64
 WRITE_EVENTS = 5957
 READ_REQUESTS = 64
 READ_EVENTS = 2411
+
+#: Exact kernel footprint of the write run (see the module docstring).
+WRITE_HEAP_PEAK = 102
+WRITE_PROCESS_REFS = 221
 
 
 def is_leg(name: str) -> bool:
@@ -65,20 +75,36 @@ class ProcessCensus(Tracer):
         return {name for name in self.names if is_leg(name)}
 
 
+class HeapWatch(Tracer):
+    """High-water mark of the event heap, sampled at every dispatched event."""
+
+    def __init__(self, sim: Simulator) -> None:
+        super().__init__(sim, limit=1)
+        self.peak = 0
+
+    def _record(self, _when: float, _event: typing.Any) -> None:
+        self.peak = max(self.peak, len(self.sim._queue))
+
+
 def _tier(sim: Simulator, **kwargs) -> SmartDsMiddleTier:
     testbed = Testbed(sim, DEFAULT_PLATFORM, n_storage_servers=4)
     return SmartDsMiddleTier(sim, testbed, n_ports=1, **kwargs)
 
 
-def write_run(census: bool = False) -> tuple[int, int, ProcessCensus | None]:
-    """Closed-loop SmartDS writes; returns (requests, events, census)."""
+def write_run(census: bool = False) -> tuple[int, int, ProcessCensus | HeapWatch]:
+    """Closed-loop SmartDS writes; returns (requests, events, watching tracer).
+
+    The tracer is a :class:`ProcessCensus` with `census`, else a
+    :class:`HeapWatch` (the census compacts the process registry on
+    every event, so it would hide the registry's own compaction).
+    """
     sim = Simulator()
     tier = _tier(sim)
     driver = ClientDriver(
         sim, tier, WriteRequestFactory(DEFAULT_PLATFORM, seed=1), concurrency=8,
         warmup_fraction=0.0,
     )
-    watch = ProcessCensus(sim) if census else None
+    watch = ProcessCensus(sim) if census else HeapWatch(sim)
     before = sim.steps
     result = sim.run(until=driver.run(WRITE_REQUESTS))
     assert result.requests == WRITE_REQUESTS
@@ -107,6 +133,13 @@ class TestEventBudget:
         requests, events, _ = write_run()
         assert (requests, events) == (WRITE_REQUESTS, WRITE_EVENTS), (
             f"{events / requests:.2f} events/request"
+        )
+
+    def test_write_kernel_footprint(self):
+        _, _, watch = write_run()
+        footprint = (watch.peak, len(watch.sim._process_refs))
+        assert footprint == (WRITE_HEAP_PEAK, WRITE_PROCESS_REFS), (
+            "(event-heap peak, process refs) moved"
         )
 
     def test_cached_read_events_per_request(self):

@@ -481,6 +481,30 @@ class TestAllocatorDegradation:
         sim.run()
 
 
+    def test_alloc_within_losing_a_wake_up_keeps_waiting_until_the_deadline(self):
+        sim = Simulator()
+        allocator = DeviceMemoryAllocator(
+            10_000, sim=sim, high_watermark=0.9, low_watermark=0.5
+        )
+        hog = allocator.alloc(9_000)
+
+        def thief():
+            yield sim.timeout(usec(10))
+            allocator.free(hog)  # wakes the waiter...
+            stolen = allocator.alloc(8_000)  # ...but the bytes are gone before it runs
+            yield sim.timeout(usec(20))
+            allocator.free(stolen)
+
+        sim.process(thief())
+        got = sim.run(until=sim.process(allocator.alloc_within(2_000, max_wait=usec(100))))
+        assert got is not None and got.size == 2_000
+        assert sim.now == pytest.approx(usec(30))  # the second wake-up, not the first
+        assert allocator.alloc_rejected.value == 0
+        allocator.free(got)
+        sim.run()
+        assert sim.now == pytest.approx(usec(30))  # the won race withdrew the deadline
+
+
 class TestReclaimOrdering:
     """Elastic reclaim and the strict-FIFO headroom queue."""
 
