@@ -124,12 +124,15 @@ class DrainAuditor:
         """Inspect the simulator and return an :class:`AuditReport`."""
         report = AuditReport()
         if not self.sim.idle:
-            queued = len(self.sim._queue) - self.sim._withdrawn
+            sim = self.sim
+            queued = len(sim._queue) - sim._withdrawn
+            unstarted = len(sim._ready)
             report.findings.append(
                 AuditFinding(
                     kind="not-drained",
-                    subject=repr(self.sim),
-                    detail=f"{queued} event(s) still queued; audit is partial",
+                    subject=repr(sim),
+                    detail=f"{queued} event(s) still queued, {unstarted} process(es)"
+                    " not started; audit is partial",
                 )
             )
         self._audit_resources(report)

@@ -12,11 +12,12 @@ import gc
 import math
 import typing
 import weakref
+from collections import deque
 from heapq import heapify, heappop, heappush
 from itertools import count
 
 from repro.sim.events import AllOf, AnyOf, Event, SimulationError, Timeout
-from repro.sim.process import Process
+from repro.sim.process import _START, Process
 
 #: Every live simulator, weakly referenced. The drain auditor (and the
 #: test harness) uses this to find simulators created during a test
@@ -71,6 +72,10 @@ class Simulator:
         # skipped when popped and purged once they are most of the heap.
         self._withdrawn = 0
         self._sequence = count()
+        # Processes spawned by a callback of the event being dispatched,
+        # in spawn order; _start_ready starts them once it returns.
+        self._ready: deque[Process] = deque()
+        self._dispatching = False
         self._steps = 0
         self._unhandled: list[BaseException] = []
         self._tracers: list[typing.Any] = []  # see repro.sim.trace
@@ -106,8 +111,11 @@ class Simulator:
 
     @property
     def idle(self) -> bool:
-        """True when no live event is queued (withdrawn timers do not count)."""
-        return len(self._queue) <= self._withdrawn
+        """True when no live event is queued (withdrawn timers do not count).
+
+        A process that a raising callback left unstarted counts as queued.
+        """
+        return not self._ready and len(self._queue) <= self._withdrawn
 
     # -- event factories -------------------------------------------------
 
@@ -121,6 +129,11 @@ class Simulator:
 
     def process(self, generator: typing.Generator, name: str = "", daemon: bool = False) -> Process:
         """Wrap a generator as a running process; it starts at the current time.
+
+        A process created while the kernel dispatches an event (from a
+        callback or another process) starts as soon as that event's
+        callbacks have returned, before the next queued event. One created
+        outside dispatch starts with a zero-delay start event.
 
         `daemon` marks forever-loop service processes (receive loops,
         worker pools) that are *expected* to still be parked on an event
@@ -181,30 +194,56 @@ class Simulator:
         registry = self._tracked.get(category)
         return tuple(registry) if registry is not None else ()
 
+    def _start_ready(self) -> None:
+        """Start the processes spawned during this dispatch, in spawn order.
+
+        Each runs to its first ``yield``; processes it spawns in turn join
+        the end of the list. A process leaves the list before it runs, so
+        if one raises, the rest still start on the next :meth:`run` or
+        :meth:`step`.
+        """
+        ready = self._ready
+        popleft = ready.popleft
+        while ready:
+            popleft()._resume(_START)  # type: ignore[arg-type]
+
     def step(self) -> None:
-        """Process the single next live event; raises if there is none."""
+        """Process the single next live event; raises if there is none.
+
+        If a raising callback left spawned processes unstarted, this step
+        starts them instead and dispatches no event.
+        """
         queue = self._queue
-        while True:
-            if not queue:
-                raise SimulationError("step() on an empty event queue")
-            when, _seq, event = heappop(queue)
-            callbacks = event.callbacks
-            if callbacks is not None:
-                break
-            self._withdrawn -= 1  # a withdrawn timer: drop it unseen
-        self._now = when
-        self._steps += 1
-        if self._tracers:
-            for tracer in self._tracers:
-                tracer._record(when, event)
-        event.callbacks = None  # type: ignore[assignment]
-        for callback in callbacks:
-            callback(event)
-        if not event._ok and not event._defused:
-            # A failure nobody waited on: surface it instead of losing it.
-            self._unhandled.append(typing.cast(BaseException, event._value))
-        if self._unhandled:
-            self._raise_unhandled()
+        self._dispatching = True
+        try:
+            if self._ready:
+                self._start_ready()
+            else:
+                while True:
+                    if not queue:
+                        raise SimulationError("step() on an empty event queue")
+                    when, _seq, event = heappop(queue)
+                    callbacks = event.callbacks
+                    if callbacks is not None:
+                        break
+                    self._withdrawn -= 1  # a withdrawn timer: drop it unseen
+                self._now = when
+                self._steps += 1
+                if self._tracers:
+                    for tracer in self._tracers:
+                        tracer._record(when, event)
+                event.callbacks = None  # type: ignore[assignment]
+                for callback in callbacks:
+                    callback(event)
+                if self._ready:
+                    self._start_ready()
+                if not event._ok and not event._defused:
+                    # A failure nobody waited on: surface it instead of losing it.
+                    self._unhandled.append(typing.cast(BaseException, event._value))
+            if self._unhandled:
+                self._raise_unhandled()
+        finally:
+            self._dispatching = False
 
     def _raise_unhandled(self) -> typing.NoReturn:
         """Raise the first pending unhandled failure, attaching the rest.
@@ -255,6 +294,7 @@ class Simulator:
         # (nothing reads it mid-callback). A popped entry whose callbacks
         # are already gone is a withdrawn timer (Timeout.cancel): every
         # other queued event keeps its list until it is dispatched here.
+        # Processes the callbacks spawn start before the next pop.
         #
         # The cyclic garbage collector is paused while events dispatch.
         # The kernel's per-request objects (events, requests, processes,
@@ -266,10 +306,17 @@ class Simulator:
         pop = heappop
         tracers = self._tracers
         unhandled = self._unhandled
+        ready = self._ready
+        start_ready = self._start_ready
         processed = 0
         gc_was_enabled = gc.isenabled()
         gc.disable()
+        self._dispatching = True
         try:
+            if ready:  # left unstarted by a callback that raised
+                start_ready()
+                if unhandled:
+                    self._raise_unhandled()
             while queue:
                 if stop.callbacks is None or queue[0][0] > horizon:
                     break
@@ -286,11 +333,14 @@ class Simulator:
                 event.callbacks = None  # type: ignore[assignment]
                 for callback in callbacks:
                     callback(event)
+                if ready:
+                    start_ready()
                 if not event._ok and not event._defused:
                     unhandled.append(typing.cast(BaseException, event._value))
                 if unhandled:
                     self._raise_unhandled()
         finally:
+            self._dispatching = False
             self._steps += processed
             if gc_was_enabled:
                 gc.enable()
@@ -306,7 +356,12 @@ class Simulator:
         return stop.value
 
     def peek(self) -> float:
-        """Time of the next live event, or ``inf`` if none is queued."""
+        """Time of the next live event, or ``inf`` if none is queued.
+
+        A process that a raising callback left unstarted is due now.
+        """
+        if self._ready:
+            return self._now
         queue = self._queue
         while queue and queue[0][2].callbacks is None:
             heappop(queue)  # withdrawn timers at the head go now

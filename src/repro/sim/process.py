@@ -15,7 +15,25 @@ from heapq import heappush
 from types import GeneratorType
 from weakref import ref
 
-from repro.sim.events import _PENDING, _WITHDRAWN, Event, SimulationError
+from repro.sim.events import _PENDING, _WITHDRAWN, Event, SimulationError, _Condition
+
+#: The one callback a process may complete into without an event.
+_OBSERVE = _Condition._observe
+
+
+class _Start:
+    """What a process spawned during dispatch is first resumed with.
+
+    It stands in for the start event such a process no longer gets:
+    :meth:`Process._resume` reads only ``_ok`` and ``_value``.
+    """
+
+    __slots__ = ()
+    _ok = True
+    _value = None
+
+
+_START = _Start()
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.kernel import Simulator
@@ -70,10 +88,16 @@ class Process(Event):
             # proportional to the processes alive, not to those created.
             if len(refs) > sim._process_refs_limit:
                 sim._compact_process_refs()
-        # Kick the process off via an immediately-succeeding event so that
-        # creation order equals start order and creation itself cannot raise
-        # model exceptions. Built field-by-field: this start event and its
-        # zero-delay schedule are pure kernel overhead otherwise.
+        # Creation never runs the body, so it cannot raise model
+        # exceptions. A process spawned while the kernel dispatches an
+        # event needs no start event: it starts, in spawn order, as soon
+        # as that event's callbacks return, after its spawner has reached
+        # its `yield` (see Simulator._start_ready).
+        if sim._dispatching:
+            sim._ready.append(self)
+            return
+        # Otherwise an immediately-succeeding start event kicks it off,
+        # built field-by-field: it is pure kernel overhead.
         start = Event.__new__(Event)
         start.sim = sim
         start._name = "start"
@@ -118,9 +142,19 @@ class Process(Event):
             # returned, so the process cannot already be triggered and
             # _ok is still True.
             self._value = stop.value
-            if self.callbacks:
-                sim = self.sim
-                heappush(sim._queue, (sim._now, next(sim._sequence), self))
+            callbacks = self.callbacks
+            if callbacks:
+                for callback in callbacks:
+                    if getattr(callback, "__func__", None) is not _OBSERVE:
+                        sim = self.sim
+                        heappush(sim._queue, (sim._now, next(sim._sequence), self))
+                        return
+                # Only conditions wait: join them now, without a
+                # completion event. Each condition still schedules its
+                # own event when it fires.
+                self.callbacks = None  # type: ignore[assignment]
+                for callback in callbacks:
+                    callback(self)
             else:
                 # Nobody waits: mark it processed instead of scheduling
                 # a completion no callback would see. A later `yield`

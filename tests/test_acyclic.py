@@ -172,6 +172,46 @@ def failing_children(n: int) -> typing.Any:
     return sim
 
 
+#: Children each fan-out request spawns from one callback.
+FAN_OUT = 4
+
+
+def fan_out_join(n: int, refs: list | None = None) -> typing.Any:
+    # Per request, one callback spawns FAN_OUT children (they start on
+    # that dispatch, from the kernel's ready list), an all_of joins them
+    # (each completes straight into the condition), and an AnyOf races a
+    # further child against a deadline that is withdrawn once it loses.
+    sim = Simulator()
+
+    def child(index: int) -> typing.Generator:
+        yield sim.timeout(usec(1 + index))
+        return index
+
+    def request() -> typing.Generator:
+        kids: list = []
+        spawn = sim.event()
+        spawn.callbacks.append(
+            lambda _event: kids.extend(sim.process(child(i)) for i in range(FAN_OUT))
+        )
+        spawn.succeed()
+        yield spawn
+        values = yield sim.all_of(kids)
+        assert sorted(values.values()) == list(range(FAN_OUT))
+        racer = sim.process(child(0))
+        deadline = sim.timeout(usec(10))
+        yield AnyOf(sim, [racer, deadline])
+        deadline.cancel()
+        if refs is not None:
+            refs.extend(weakref.ref(proc) for proc in (*kids, racer))
+
+    def driver() -> typing.Generator:
+        for _ in range(n):
+            yield sim.process(request())
+
+    sim.run(until=sim.process(driver()))
+    return sim
+
+
 def contended_pipe(n: int) -> typing.Any:
     # Four lanes, six producers and bursts keep every lane busy, so
     # most transfers start behind a busy lane; the overhead puts a gap
@@ -206,12 +246,31 @@ def contended_pipe(n: int) -> typing.Any:
         overload,
         sharded,
         failing_children,
+        fan_out_join,
         contended_pipe,
     ],
     ids=lambda shape: shape.__name__,
 )
 def test_requests_leave_no_cyclic_garbage(shape):
     assert_no_growth(shape)
+
+
+def test_spawned_and_joined_processes_outlive_no_dispatch():
+    # With the collector off, only reference counting frees: a ready
+    # list or a direct join that kept a process would keep it alive.
+    refs: list = []
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        sim = fan_out_join(N, refs)
+        assert len(refs) == N * (FAN_OUT + 1)
+        assert not sim._ready
+        alive = [ref() for ref in refs if ref() is not None]
+        assert not alive, f"{len(alive)} processes outlived their dispatch: {alive[:3]}"
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def test_a_withdrawn_timer_releases_its_condition():

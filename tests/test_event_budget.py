@@ -4,9 +4,15 @@ The datapath legs — PCIe DMA, HBM and host-DRAM transfers, block-device
 I/O and transport sends — are generator functions their callers run
 inline with ``yield from``, and a bandwidth transfer is a single
 completion event. None of them may come back as a ``Process``:
-each one would cost a start event and a completion event per call. The
-one leg that stays a process is the hot-block cache's fire-and-forget
-HBM fill, which runs under its own ``<cache>.fill`` name.
+each one would cost a process and, for the caller waiting on it, a
+completion event per call. The one leg that stays a process is the
+hot-block cache's fire-and-forget HBM fill, which runs under its own
+``<cache>.fill`` name.
+
+A process spawned while an event is dispatched starts without a start
+event, and a process whose only waiters are conditions completes into
+them without a completion event; the write run checks that neither
+kind of event is dispatched once the run is under way.
 
 Event counts are deterministic for a seed, so the budgets are exact. A
 change that moves one on purpose re-records it here and says why.
@@ -26,14 +32,16 @@ from repro.core import SmartDsMiddleTier
 from repro.middletier import Testbed
 from repro.params import DEFAULT_PLATFORM, CacheSpec
 from repro.sim import Simulator, Tracer
+from repro.sim.events import _Condition
+from repro.sim.process import Process
 from repro.units import kib
 from repro.workloads import ClientDriver, WriteRequestFactory
 
 #: Exact kernel events of each measured phase (see the module docstring).
 WRITE_REQUESTS = 64
-WRITE_EVENTS = 5957
+WRITE_EVENTS = 5181
 READ_REQUESTS = 64
-READ_EVENTS = 2411
+READ_EVENTS = 2151
 
 #: Exact kernel footprint of the write run (see the module docstring).
 WRITE_HEAP_PEAK = 102
@@ -59,9 +67,15 @@ def is_leg(name: str) -> bool:
 class ProcessCensus(Tracer):
     """Every process name alive at any dispatched event of a simulator.
 
-    A tracer sees each event before its callbacks run, and every process
-    is alive when its start event is dispatched, so sampling
-    ``Simulator.tracked("process")`` there misses none.
+    A tracer sees each event before its callbacks run, and samples
+    ``Simulator.tracked("process")`` there. A process created outside
+    dispatch is alive when its start event is dispatched. One spawned
+    during dispatch gets no start event; it is seen at the next
+    dispatched event if its first segment ends in a ``yield`` of a
+    pending event or of an already-fired one (whose poke is that next
+    event). Only a process that returns from its first segment without
+    yielding could slip by, and no leg does: each one waits on a
+    transfer, a timeout or a queue.
     """
 
     def __init__(self, sim: Simulator) -> None:
@@ -73,6 +87,31 @@ class ProcessCensus(Tracer):
 
     def legs(self) -> set[str]:
         return {name for name in self.names if is_leg(name)}
+
+
+class DispatchWatch(Tracer):
+    """Counts the start events and condition-only process completions dispatched.
+
+    A tracer sees each event before the kernel consumes its callbacks,
+    so a dispatched process can still be asked who waited on it.
+    """
+
+    def __init__(self, sim: Simulator) -> None:
+        super().__init__(sim, limit=1)
+        self.starts = 0
+        self.late_starts = 0
+        self.condition_joins = 0
+
+    def _record(self, when: float, event: typing.Any) -> None:
+        if isinstance(event, Process):
+            if all(
+                getattr(callback, "__func__", None) is _Condition._observe
+                for callback in event.callbacks
+            ):
+                self.condition_joins += 1
+        elif event.name == "start":
+            self.starts += 1
+            self.late_starts += when > 0.0
 
 
 class HeapWatch(Tracer):
@@ -142,6 +181,25 @@ class TestEventBudget:
             "(event-heap peak, process refs) moved"
         )
 
+    def test_write_run_dispatches_no_spawn_start_or_condition_join(self):
+        # Only the processes created before the run (service loops and
+        # client streams) get start events, all at time zero; the
+        # replica fan-out, storage serves, engine runs and write
+        # completions start on their spawner's dispatch, and none of
+        # their completions is an event when only a condition waits.
+        sim = Simulator()
+        tier = _tier(sim)
+        driver = ClientDriver(
+            sim, tier, WriteRequestFactory(DEFAULT_PLATFORM, seed=1), concurrency=8,
+            warmup_fraction=0.0,
+        )
+        done = driver.run(WRITE_REQUESTS)
+        created_before = len(sim.tracked("process"))
+        watch = DispatchWatch(sim)
+        sim.run(until=done)
+        assert (watch.starts, watch.late_starts) == (created_before, 0)
+        assert watch.condition_joins == 0
+
     def test_cached_read_events_per_request(self):
         requests, events, _ = cached_read_run()
         assert (requests, events) == (READ_REQUESTS, READ_EVENTS), (
@@ -170,3 +228,20 @@ class TestNoLegProcesses:
         sim.process(link.dma_write(64), name=f"{link.name}.write")
         sim.run()
         assert census.legs() == {"pcie.write"}
+
+    def test_census_sees_a_leg_spawned_by_a_running_process(self):
+        # Spawned during dispatch, the leg gets no start event; the census
+        # must still catch it at the next dispatched event.
+        from repro.hostmodel import PcieLink
+
+        sim = Simulator()
+        census = ProcessCensus(sim)
+        link = PcieLink(sim, DEFAULT_PLATFORM.host)
+
+        def spawner() -> typing.Generator:
+            yield sim.timeout(1e-6)
+            yield sim.process(link.dma_read(64), name=f"{link.name}.read")
+
+        sim.process(spawner())
+        sim.run()
+        assert census.legs() == {"pcie.read"}

@@ -140,6 +140,53 @@ def test_unwaited_process_costs_only_its_start_event():
     assert proc.value == 7
 
 
+def test_unwaited_process_spawned_during_dispatch_costs_no_event():
+    sim = Simulator()
+    spawned = []
+
+    def body():
+        return 7
+        yield  # pragma: no cover - makes this a generator
+
+    def spawner():
+        yield sim.timeout(1.0)
+        spawned.append(sim.process(body()))
+
+    sim.process(spawner())
+    sim.run()
+    # The spawner's start event and its timeout; the child starts on the
+    # timeout's dispatch and nobody waits for its completion.
+    assert sim.steps == 2
+    (proc,) = spawned
+    assert proc.processed and proc.value == 7
+
+
+def test_all_of_over_returned_children_collects_their_values_in_order():
+    sim = Simulator()
+    joined = []
+
+    def child(value, delay):
+        if delay:
+            yield sim.timeout(delay)
+        return value
+
+    def parent():
+        early = sim.process(child("early", 0.0))
+        yield sim.timeout(1.0)  # `early` has returned unwaited by now
+        late = [sim.process(child(name, delay)) for name, delay in (("b", 2.0), ("a", 1.0))]
+        instant = sim.process(child("instant", 0.0))
+        joined.append((yield sim.all_of([early, *late, instant])))
+        joined.append([early, *late, instant])
+        joined.append(sim.now)
+
+    sim.process(parent())
+    sim.run()
+    values, order, when = joined
+    assert values == {order[0]: "early", order[1]: "b", order[2]: "a", order[3]: "instant"}
+    assert list(values) == order
+    assert when == 3.0
+
+
 def test_yielding_a_returned_unwaited_process_resumes_with_its_value():
     sim = Simulator()
     seen = []
