@@ -7,8 +7,8 @@ A :class:`Message` is one RDMA message: a small block-storage header
 Payloads run in one of two modes, chosen per experiment:
 
 - **functional** — `data` carries real bytes; compression really runs
-  the pure-Python LZ4 codec, so output sizes are measured and blocks
-  can be bit-compared end to end;
+  the pure-Python LZ4 codec, once per distinct block content, so output
+  sizes are measured and blocks can be bit-compared end to end;
 - **performance** — `data` is ``None`` and the compressed size is
   computed from `ratio`, the block's LZ4 compressibility (sampled from
   the corpus-calibrated distribution). This keeps large sweeps fast.
@@ -26,6 +26,26 @@ from repro.compression.lz4 import lz4_compress, lz4_decompress
 from repro.compression.model import compressed_size
 
 _request_ids = itertools.count(1)
+
+#: Compressed blob per distinct input block, oldest evicted first. LZ4 is
+#: deterministic, so a functional run that writes the same block many
+#: times (a workload cycling through a corpus, every replica of a write)
+#: runs the codec once per content. The codec itself stays uncached.
+_COMPRESSED: dict[bytes, bytes] = {}
+_COMPRESSED_MAX = 1024
+
+
+def _compress_bytes(data: bytes) -> bytes:
+    """``lz4_compress(data)``, memoized for immutable ``bytes`` only."""
+    if type(data) is not bytes:
+        return lz4_compress(data)
+    blob = _COMPRESSED.get(data)
+    if blob is None:
+        blob = lz4_compress(data)
+        if len(_COMPRESSED) >= _COMPRESSED_MAX:
+            del _COMPRESSED[next(iter(_COMPRESSED))]
+        _COMPRESSED[data] = blob
+    return blob
 
 
 @dataclasses.dataclass(frozen=True)
@@ -62,7 +82,7 @@ def compress_payload(payload: Payload) -> Payload:
     if payload.is_compressed:
         raise ValueError("payload is already compressed")
     if payload.data is not None:
-        blob = lz4_compress(payload.data)
+        blob = _compress_bytes(payload.data)
         return Payload(
             size=len(blob),
             ratio=payload.ratio,

@@ -33,6 +33,9 @@ class ChunkStore:
     def __init__(self) -> None:
         self._locations = itertools.count(1)
         self._chunks: dict[int, list[StoredBlock]] = {}
+        # Per chunk, each block's newest retained record, so `latest`
+        # need not scan the log while that record is live.
+        self._newest: dict[int, dict[int, StoredBlock]] = {}
         self._by_location: dict[int, StoredBlock] = {}
         self._live: dict[int, bool] = {}
         self._snapshots: dict[int, tuple[int, ...]] = {}
@@ -64,6 +67,7 @@ class ChunkStore:
             meta=dict(meta or {}),
         )
         log.append(record)
+        self._newest.setdefault(chunk_id, {})[block_id] = record
         self._by_location[record.location] = record
         self._live[record.location] = True
         self.bytes_appended += size
@@ -78,7 +82,13 @@ class ChunkStore:
 
     def latest(self, chunk_id: int, block_id: int) -> StoredBlock | None:
         """Most recent live version of a block in a chunk (None if absent)."""
-        for record in reversed(self._chunks.get(chunk_id, [])):
+        newest = self._newest.get(chunk_id, {}).get(block_id)
+        if newest is None or self._live[newest.location]:
+            return newest
+        # The newest version is dead (compaction superseded it, and it
+        # stays in the log until GC, or while a snapshot pins it): an
+        # older one may be live.
+        for record in reversed(self._chunks[chunk_id]):
             if record.block_id == block_id and self._live[record.location]:
                 return record
         return None
@@ -110,6 +120,7 @@ class ChunkStore:
             else:
                 kept.append(record)
         self._chunks[chunk_id] = kept
+        self._newest[chunk_id] = {record.block_id: record for record in kept}
         self.bytes_reclaimed += reclaimed
         return reclaimed
 

@@ -38,6 +38,7 @@ class ChunkStoreMachine(RuleBasedStateMachine):
         super().__init__()
         self.store = ChunkStore()
         self.live_locations = {}  # location -> size
+        self.keys = {}  # location -> (chunk, block), every location ever appended
         self.dead_locations = set()
         self.snapshots = {}  # snap id -> frozenset(locations at snap time)
 
@@ -45,12 +46,24 @@ class ChunkStoreMachine(RuleBasedStateMachine):
     def append(self, chunk, block, size):
         record = self.store.append(chunk, block, size)
         self.live_locations[record.location] = size
+        self.keys[record.location] = (chunk, block)
 
     @rule()
     def mark_one_dead(self):
         if not self.live_locations:
             return
         location = next(iter(self.live_locations))
+        self.store.mark_dead(location)
+        del self.live_locations[location]
+        self.dead_locations.add(location)
+
+    @rule()
+    def mark_newest_dead(self):
+        # Compaction's worst case for `latest`: a block's newest version
+        # dies while an older one stays live.
+        if not self.live_locations:
+            return
+        location = max(self.live_locations)
         self.store.mark_dead(location)
         del self.live_locations[location]
         self.dead_locations.add(location)
@@ -81,6 +94,18 @@ class ChunkStoreMachine(RuleBasedStateMachine):
     def live_entries_readable(self):
         for location, size in self.live_locations.items():
             assert self.store.read(location).size == size
+
+    @invariant()
+    def latest_is_the_newest_live_version(self):
+        # Locations grow with append order, so the newest live version
+        # of a key is its largest live location.
+        newest = {}
+        for location in self.live_locations:
+            key = self.keys[location]
+            newest[key] = max(newest.get(key, 0), location)
+        for key in set(self.keys.values()):
+            record = self.store.latest(*key)
+            assert (record.location if record else None) == newest.get(key), key
 
     @invariant()
     def snapshots_remain_complete(self):

@@ -17,6 +17,10 @@ kind of event is dispatched once the run is under way.
 Event counts are deterministic for a seed, so the budgets are exact. A
 change that moves one on purpose re-records it here and says why.
 
+A functional-mode run pins the codec work: writes that cycle through a
+few corpus blocks run LZ4 once per distinct block, not once per write,
+and every stored copy still decompresses to the bytes that were sent.
+
 The write run also pins the kernel's footprint: the event heap's
 high-water mark and the process registry's length at the end. A race
 site that leaves its decided deadline queued (instead of calling
@@ -28,8 +32,10 @@ from __future__ import annotations
 
 import typing
 
+from repro.compression import SilesiaLikeCorpus, lz4_decompress
 from repro.core import SmartDsMiddleTier
 from repro.middletier import Testbed
+from repro.net import message
 from repro.params import DEFAULT_PLATFORM, CacheSpec
 from repro.sim import Simulator, Tracer
 from repro.sim.events import _Condition
@@ -42,6 +48,10 @@ WRITE_REQUESTS = 64
 WRITE_EVENTS = 5181
 READ_REQUESTS = 64
 READ_EVENTS = 2151
+
+#: Functional-mode writes cycling through this many corpus blocks.
+CORPUS_WRITES = 64
+CORPUS_BLOCKS = 16
 
 #: Exact kernel footprint of the write run (see the module docstring).
 WRITE_HEAP_PEAK = 102
@@ -205,6 +215,41 @@ class TestEventBudget:
         assert (requests, events) == (READ_REQUESTS, READ_EVENTS), (
             f"{events / requests:.2f} events/request"
         )
+
+
+class TestFunctionalCompression:
+    def test_each_distinct_block_is_compressed_once(self, monkeypatch):
+        monkeypatch.setattr(message, "_COMPRESSED", {})
+        codec = message.lz4_compress
+        codec_calls = []
+
+        def counted(data):
+            codec_calls.append(data)
+            return codec(data)
+
+        monkeypatch.setattr(message, "lz4_compress", counted)
+        blocks = SilesiaLikeCorpus(seed=1).blocks(4096)[:CORPUS_BLOCKS]
+        assert len(set(blocks)) == CORPUS_BLOCKS
+        sim = Simulator()
+        testbed = Testbed(sim, DEFAULT_PLATFORM, n_storage_servers=4)
+        tier = SmartDsMiddleTier(sim, testbed, n_ports=1)
+        driver = ClientDriver(
+            sim, tier, WriteRequestFactory(DEFAULT_PLATFORM, blocks=blocks, seed=1),
+            concurrency=8, warmup_fraction=0.0,
+        )
+        result = sim.run(until=driver.run(CORPUS_WRITES))
+        assert result.requests == CORPUS_WRITES
+        assert len(codec_calls) == CORPUS_BLOCKS
+        chunk_blocks = DEFAULT_PLATFORM.storage.chunk_bytes // DEFAULT_PLATFORM.workload.block_size
+        for lba in range(CORPUS_WRITES):
+            copies = [
+                record
+                for server in testbed.storage_servers
+                if (record := server.store.latest(lba // chunk_blocks, lba)) is not None
+            ]
+            assert len(copies) == DEFAULT_PLATFORM.storage.replication
+            for record in copies:
+                assert lz4_decompress(record.data) == blocks[lba % CORPUS_BLOCKS], lba
 
 
 class TestNoLegProcesses:

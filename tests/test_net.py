@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.compression import SilesiaLikeCorpus, lz4_compress, lz4_decompress
+from repro.compression import lz4 as lz4_module
 from repro.hostmodel import DdioLlc, MemorySubsystem
 from repro.net import (
     Message,
@@ -11,6 +13,7 @@ from repro.net import (
     compress_payload,
     decompress_payload,
 )
+from repro.net import message as message_module
 from repro.net.nic import HostNic
 from repro.params import NetworkSpec
 from repro.sim import Simulator
@@ -55,6 +58,69 @@ class TestPayload:
     def test_invalid_ratio_rejected(self):
         with pytest.raises(ValueError):
             Payload(size=10, ratio=0.0)
+
+
+@pytest.fixture
+def memo(monkeypatch):
+    """A fresh, empty compression memo for one test."""
+    fresh = {}
+    monkeypatch.setattr(message_module, "_COMPRESSED", fresh)
+    return fresh
+
+
+def count_calls(monkeypatch, module, name):
+    """Wrap `module.name` so each call bumps the returned counter."""
+    calls = [0]
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestCompressMemo:
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_memo_returns_the_codec_blob_for_every_corpus_block(self, memo, seed):
+        for block in SilesiaLikeCorpus(seed=seed).blocks(4096):
+            first = compress_payload(Payload.from_bytes(block))
+            repeat = compress_payload(Payload.from_bytes(block))
+            assert first.data == lz4_compress(block)
+            assert repeat.data is first.data
+            assert (repeat.size, repeat.original_size) == (first.size, len(block))
+            assert lz4_decompress(repeat.data) == block
+
+    def test_memo_is_bounded_and_evicts_oldest_first(self, memo):
+        cap = message_module._COMPRESSED_MAX
+        blocks = [index.to_bytes(4, "big") * 8 for index in range(cap + 50)]
+        for block in blocks:
+            compress_payload(Payload.from_bytes(block))
+        assert len(memo) == cap
+        assert blocks[0] not in memo and blocks[-1] in memo
+
+    def test_mutable_data_is_compressed_every_time(self, memo, monkeypatch):
+        calls = count_calls(monkeypatch, message_module, "lz4_compress")
+        data = bytearray(b"mutable block " * 300)
+        for _ in range(2):
+            compressed = compress_payload(Payload.from_bytes(data))
+            assert compressed.data == lz4_compress(bytes(data))
+            assert lz4_decompress(compressed.data) == data
+        data[:7] = b"changed"
+        assert lz4_decompress(compress_payload(Payload.from_bytes(data)).data) == data
+        assert calls[0] == 3 and not memo
+
+    def test_the_codec_itself_is_not_memoized(self, monkeypatch):
+        calls = count_calls(monkeypatch, lz4_module, "_compress_vector")
+        block = SilesiaLikeCorpus(seed=1).blocks(4096)[0]
+        assert lz4_compress(block) == lz4_compress(block)
+        assert calls[0] == 2
+
+    def test_synthetic_payloads_bypass_the_memo(self, memo):
+        compressed = compress_payload(Payload.synthetic(4096, ratio=2.0))
+        assert (compressed.size, compressed.data) == (2048, None)
+        assert not memo
 
 
 class TestMessage:

@@ -62,6 +62,22 @@ class TestBlockDevice:
         assert disk.read_meter.total_bytes == 200
 
 
+class CountingLog(list):
+    """A chunk log that counts the records iterated out of it."""
+
+    walked = 0
+
+    def __iter__(self):
+        for record in super().__iter__():
+            self.walked += 1
+            yield record
+
+    def __reversed__(self):
+        for record in super().__reversed__():
+            self.walked += 1
+            yield record
+
+
 class TestChunkStore:
     def test_append_and_read(self):
         store = ChunkStore()
@@ -111,6 +127,32 @@ class TestChunkStore:
         assert store.live_bytes == 30
         store.mark_dead(a.location)
         assert store.live_bytes == 20
+
+    def test_latest_after_newest_version_dies(self):
+        store = ChunkStore()
+        older = store.append(1, 7, 4, b"old!")
+        newer = store.append(1, 7, 4, b"new!")
+        store.mark_dead(newer.location)
+        assert store.latest(1, 7).location == older.location
+        store.gc(1)
+        assert store.latest(1, 7).location == older.location
+        store.mark_dead(older.location)
+        assert store.latest(1, 7) is None
+
+    @pytest.mark.parametrize("position", [0.0, 0.5, 1.0])
+    def test_latest_inspects_no_more_records_in_a_longer_log(self, position):
+        # A read's cost must not grow with the chunk's log: the records
+        # `latest` walks are counted at two log lengths and must agree.
+        def inspected(n_blocks: int) -> int:
+            store = ChunkStore()
+            for block in range(n_blocks):
+                store.append(0, block, 8)
+            log = store._chunks[0] = CountingLog(store._chunks[0])
+            target = min(int(n_blocks * position), n_blocks - 1)
+            assert store.latest(0, target).block_id == target
+            return log.walked
+
+        assert inspected(256) == inspected(2048)
 
     def test_unknown_location_rejected(self):
         store = ChunkStore()
