@@ -54,25 +54,6 @@ def dump_results(results: typing.Sequence[ExperimentResult], path: str) -> None:
         json.dump(document, handle, indent=2, sort_keys=True)
 
 
-def dump_bench(document: dict, path: str) -> None:
-    """Write a validated ``BENCH_*.json`` benchmark document to `path`.
-
-    Validation lives with the harness (``benchmarks.perf.schema``), which
-    must be importable — i.e. run from the repository root, where the
-    ``benchmarks`` package sits next to ``src``.
-    """
-    try:
-        from benchmarks.perf.schema import validate_bench
-    except ImportError as exc:  # pragma: no cover - depends on cwd
-        raise RuntimeError(
-            "the benchmarks package is not importable; run from the repository "
-            "root (where benchmarks/ lives) to use --bench"
-        ) from exc
-    validate_bench(document)
-    with open(path, "w") as handle:
-        json.dump(document, handle, indent=2, sort_keys=True)
-
-
 def metrics_to_dict(registries: typing.Sequence[typing.Any]) -> dict:
     """Flat dump of every registry a :class:`TraceSession` collected.
 
@@ -92,9 +73,8 @@ def dump_metrics(registries: typing.Sequence[typing.Any], path: str) -> None:
 def dump_flight(recorders: typing.Sequence[typing.Any], path: str) -> None:
     """Write every flight recorder's ring to `path`, schema-validated.
 
-    One entry per simulator's recorder, in creation order. Like
-    ``--bench``, the dump refuses to write a malformed document
-    (``repro.telemetry.schemas``).
+    One entry per simulator's recorder, in creation order. The dump
+    refuses to write a malformed document (``repro.telemetry.schemas``).
     """
     from repro.telemetry.schemas import validate_flight
 

@@ -35,15 +35,14 @@ from repro.sim import Simulator
 from repro.sim.debug import FlowLedger
 from repro.telemetry.metrics import ratio
 from repro.telemetry.reporting import format_table
+from repro.telemetry.spans import REPLY_STATUSES
 from repro.units import to_gbps, to_usec, usec
 from repro.workloads import RoutingClient, WriteRequestFactory
 
 #: Shard counts of the scale sweep.
 SHARD_SWEEP = (1, 2, 4, 8)
 #: Statuses a routed request is allowed to terminate with.
-TERMINAL_STATUSES = frozenset(
-    {"ok", "shed", "unavailable", "not_found", "wrong_shard"}
-)
+TERMINAL_STATUSES = REPLY_STATUSES
 #: Acceptance bound: aggregate goodput at 4 shards vs 1 shard.
 MIN_SPEEDUP_AT_4 = 3.2
 #: Acceptance bound: per-shard p99 vs the single-shard baseline.

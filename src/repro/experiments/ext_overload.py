@@ -41,7 +41,7 @@ from repro.params import (
 from repro.sim import Simulator
 from repro.telemetry.metrics import ratio
 from repro.telemetry.reporting import format_table
-from repro.telemetry.spans import SpanCollector
+from repro.telemetry.spans import REPLY_STATUSES, SpanCollector
 from repro.units import msec, to_usec, usec
 from repro.workloads import ClientDriver, OpenLoopDriver, WriteRequestFactory
 
@@ -49,8 +49,9 @@ from repro.workloads import ClientDriver, OpenLoopDriver, WriteRequestFactory
 MULTIPLIERS = (0.5, 0.75, 1.0, 1.5, 2.0)
 #: Fault seed for the recovery leg (first of ext_chaos's FAULT_SEEDS).
 FAULT_SEED = 11
-#: Statuses a request is allowed to terminate with.
-TERMINAL_STATUSES = frozenset({"ok", "shed", "unavailable", "not_found"})
+#: Statuses a request is allowed to terminate with: this experiment is
+#: unrouted, so a routing bounce is an error.
+TERMINAL_STATUSES = REPLY_STATUSES - {"wrong_shard"}
 #: Bounded-tail criterion: p99 of *admitted* requests must stay under
 #: this multiple of the admission latency budget at 2x saturation.
 P99_BUDGET_MULTIPLE = 3.0

@@ -127,32 +127,10 @@ def main(argv: typing.Sequence[str] | None = None) -> int:
         "attribution and write the collapsed-stack profile to FILE; also "
         "prints the latency-attribution table",
     )
-    parser.add_argument(
-        "--bench",
-        metavar="FILE",
-        help="run the perf harness (benchmarks.perf) instead of experiments and "
-        "write the schema-validated benchmark document to FILE; honors --quick",
-    )
     args = parser.parse_args(argv)
 
     if args.list:
         print(list_experiments())
-        return 0
-    if args.bench:
-        if args.experiments:
-            parser.error("--bench runs the perf harness; don't also select experiments")
-        try:
-            from benchmarks.perf.harness import run_benchmarks
-        except ImportError:
-            parser.error(
-                "the benchmarks package is not importable; run from the "
-                "repository root (where benchmarks/ lives) to use --bench"
-            )
-        from repro.experiments.export import dump_bench
-
-        document = run_benchmarks(quick=args.quick)
-        dump_bench(document, args.bench)
-        print(f"[wrote benchmark document to {args.bench}]")
         return 0
     if not args.experiments:
         parser.error("no experiments selected (try --list to see the registry)")

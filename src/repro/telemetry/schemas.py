@@ -1,11 +1,11 @@
 """Schema validation for the runner's telemetry artifacts.
 
-Same hand-rolled structural checker as ``benchmarks.perf.schema`` (the
-container deliberately has no ``jsonschema``), extended with a list
-form: a one-element list spec ``[sub]`` means "array whose every item
-matches ``sub``". ``runner --flight/--slo/--profile`` refuse to write a
-document that fails validation, and CI re-validates the artifacts it
-collects (``.github/workflows/ci.yml``).
+A hand-rolled structural checker (the project deliberately does not
+depend on ``jsonschema``) with a list form: a one-element list spec
+``[sub]`` means "array whose every item matches ``sub``".
+``runner --flight/--slo/--profile`` refuse to write a document that
+fails validation, and CI re-validates the artifacts it collects
+(``.github/workflows/ci.yml``).
 """
 
 from __future__ import annotations

@@ -32,6 +32,7 @@ from collections import deque
 
 from repro.params import SLOSpec
 from repro.telemetry.registry import registry_for
+from repro.telemetry.spans import REPLY_STATUSES
 from repro.units import msec, to_usec
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -40,9 +41,9 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 #: Terminal statuses that consume error budget.
 BAD_STATUSES = frozenset({"shed", "unavailable", "not_found", "failed"})
-#: Terminal statuses that are neither good nor bad (routing bounces are
+#: Reply statuses that are neither good nor bad (routing bounces are
 #: corrected by the client's map refetch, not served wrong).
-IGNORED_STATUSES = frozenset({"wrong_shard"})
+IGNORED_STATUSES = REPLY_STATUSES - BAD_STATUSES - {"ok"}
 
 #: The stock objectives ``runner --slo`` watches when the experiment
 #: doesn't declare its own (platform.slos).

@@ -47,6 +47,20 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 #: Outcome tags every stage draws from (see module docstring).
 OUTCOMES = ("ok", "degraded", "retried", "failed", "shed")
+#: Every ``status`` a middle tier answers a request with.
+REPLY_STATUSES = frozenset({"ok", "shed", "unavailable", "not_found", "wrong_shard"})
+
+
+def outcome_of(status: str, retried: bool = False) -> str:
+    """The root-span outcome of a request answered with `status`.
+
+    `retried` marks an ``ok`` that took more than one attempt.
+    """
+    if status == "ok":
+        return "retried" if retried else "ok"
+    if status == "shed":
+        return "shed"
+    return "failed"
 
 
 class Span:

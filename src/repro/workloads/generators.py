@@ -1,4 +1,4 @@
-"""Write/read request generation and the closed-loop client driver."""
+"""Write/read request generation and the request-issuing client drivers."""
 
 from __future__ import annotations
 
@@ -14,6 +14,7 @@ from repro.net.message import Message, Payload
 from repro.net.roce import RoceEndpoint
 from repro.params import PlatformSpec
 from repro.telemetry.metrics import Counter, LatencyRecorder
+from repro.telemetry.spans import outcome_of
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.middletier.base import MiddleTierServer
@@ -168,9 +169,13 @@ class SkewedReadFactory:
         return self.factory.make_read(self.next_lba())
 
 
+#: One answered request: ``(start, end, payload bytes, status, lba)``.
+Sample = tuple[float, float, int, str, int]
+
+
 @dataclasses.dataclass
 class DriverResult:
-    """What one closed-loop run measured (after warm-up exclusion)."""
+    """What one driver run measured (after warm-up exclusion)."""
 
     requests: int
     payload_bytes: int
@@ -180,6 +185,48 @@ class DriverResult:
     #: ``(lba, status)`` pairs — e.g. ``(17, "unavailable")`` when every
     #: replica fail-over attempt for LBA 17 timed out.
     failures: tuple = ()
+
+    @classmethod
+    def from_samples(
+        cls,
+        samples: typing.Sequence[Sample],
+        warmup_fraction: float = 0.0,
+        failed_latency: bool = False,
+    ) -> "DriverResult":
+        """Fold answered requests into a result: the one sample fold.
+
+        Samples are ordered by completion and the first
+        `warmup_fraction` of them dropped. Payload bytes cover ``ok``
+        requests only, so :attr:`throughput` is goodput, and every
+        non-``ok`` request lands in :attr:`failures`. Latency covers
+        ``ok`` requests too — a shed reply returns in microseconds and
+        would otherwise *improve* the tail while goodput collapses —
+        unless `failed_latency`, which also counts how long a failed
+        request waited for its answer.
+        """
+        if not samples:
+            raise RuntimeError("driver has no completed requests")
+        ordered = sorted(samples, key=lambda sample: sample[1])
+        skip = int(len(ordered) * warmup_fraction)
+        measured = ordered[skip:] if skip else ordered
+        latency = LatencyRecorder("client-latency")
+        payload_bytes = 0
+        failures: list[tuple[int, str]] = []
+        for start, end, size, status, lba in measured:
+            if status == "ok":
+                latency.record(end - start)
+                payload_bytes += size
+            else:
+                failures.append((lba, status))
+                if failed_latency:
+                    latency.record(end - start)
+        return cls(
+            requests=len(measured),
+            payload_bytes=payload_bytes,
+            duration=max(measured[-1][1] - measured[0][1], 1e-12),
+            latency=latency,
+            failures=tuple(failures),
+        )
 
     @property
     def throughput(self) -> float:
@@ -199,7 +246,141 @@ class DriverResult:
         return self.requests - len(self.failures)
 
 
-class OpenLoopDriver:
+class RequestClient:
+    """What every request-issuing driver shares (the clients of §5.1).
+
+    One reply loop per queue pair hands each reply to the request that
+    waits for it, :meth:`_request` is the one request round trip, and
+    :meth:`result` folds the samples it records.
+    """
+
+    def __init__(
+        self,
+        sim: "Simulator",
+        factory: WriteRequestFactory,
+        address: str,
+        warmup_fraction: float,
+    ) -> None:
+        if not 0.0 <= warmup_fraction < 0.5:
+            raise ValueError("warmup_fraction must be in [0, 0.5)")
+        self.sim = sim
+        self.factory = factory
+        self.address = address
+        self.warmup_fraction = warmup_fraction
+        self._samples: list[Sample] = []
+        self._reply_events: dict[int, typing.Any] = {}
+        self.replies_unmatched = Counter(f"{address}.unmatched")
+
+    def _attach(self, tier: "MiddleTierServer", port_index: int) -> None:
+        """Open this client's own port and queue pair to `tier`."""
+        self.tier = tier
+        network = tier.platform.network
+        port = NetworkPort(self.sim, rate=network.port_rate, name=f"{self.address}.port")
+        self.endpoint = RoceEndpoint(self.sim, port, self.address, spec=network)
+        self.qp = tier.attach_client(self.endpoint, port_index=port_index)
+        self.sim.process(self._reply_loop(self.qp), name=f"{self.address}.replies", daemon=True)
+
+    def _reply_loop(self, qp: typing.Any) -> typing.Generator:
+        while True:
+            message: Message = yield qp.recv()
+            event = self._reply_events.pop(message.header.get("in_reply_to"), None)
+            if event is None:
+                self.replies_unmatched.add()
+            else:
+                event.succeed(message)
+
+    def _request(self, message: Message, samples: list[Sample]) -> typing.Generator:
+        """Issue one request, wait for its answer, and record its sample.
+
+        With tracing on, the request's root span closes with the outcome
+        of the reply's status.
+        """
+        lba = message.header.get("block_id", -1)
+        collector = self.sim._span_collector
+        root = None
+        if collector is not None:
+            root = collector.request(
+                message.kind, message.request_id, vm=self.factory.vm_id, lba=lba
+            )
+        start = self.sim.now
+        reply, attempts = yield from self._send(message, root)
+        status = reply.header.get("status", "ok")
+        if root is not None:
+            root.finish(
+                outcome_of(status, retried=attempts > 1),
+                nbytes=reply.payload_size,
+                status=status,
+            )
+        # Writes carry the payload out; reads carry it back.
+        size = message.payload_size if message.kind == "write_request" else reply.payload_size
+        samples.append((start, self.sim.now, size, status, lba))
+
+    def _send(self, message: Message, root: typing.Any) -> typing.Generator:
+        """Deliver `message`; returns ``(reply, attempts)``."""
+        reply = yield from self._round_trip(self.qp, message, root)
+        return reply, 1
+
+    def _round_trip(self, qp: typing.Any, message: Message, root: typing.Any) -> typing.Generator:
+        """Transmit `message` on `qp` and return the reply it gets."""
+        tx = None
+        if root is not None:
+            # The transport reassigns message.span to its own child, so
+            # hold the tx span locally to finish it.
+            tx = message.span = root.child("client.tx")
+        reply_event = self.sim.event(name=f"reply:{message.request_id}")
+        self._reply_events[message.request_id] = reply_event
+        yield from qp.transmit(message)
+        if tx is not None:
+            tx.finish(nbytes=message.size)
+        return (yield reply_event)
+
+    # -- closed-loop streams ---------------------------------------------------
+
+    def _writes(self, n_requests: int, concurrency: int) -> list[typing.Iterator[Message]]:
+        """`concurrency` batches of ``n_requests // concurrency`` writes,
+        each built when its stream is ready to send it."""
+        if n_requests < concurrency:
+            raise ValueError("n_requests must be >= concurrency")
+        per_stream = n_requests // concurrency
+        make = self.factory.make
+        return [(make() for _ in range(per_stream)) for _ in range(concurrency)]
+
+    def _reads(self, lbas: typing.Sequence[int], concurrency: int) -> list[typing.Iterator[Message]]:
+        """`lbas` dealt round-robin into at most `concurrency` read batches."""
+        lbas = list(lbas)
+        if not lbas:
+            raise ValueError("no LBAs to read")
+        shards = [lbas[i::concurrency] for i in range(concurrency)]
+        return [map(self.factory.make_read, shard) for shard in shards if shard]
+
+    def _spawn_streams(
+        self, batches: list[typing.Iterator[Message]], samples: list[Sample]
+    ) -> list:
+        return [
+            self.sim.process(self._stream(batch, samples), name=f"{self.address}.s{i}")
+            for i, batch in enumerate(batches)
+        ]
+
+    def _stream(self, batch: typing.Iterator[Message], samples: list[Sample]) -> typing.Generator:
+        for message in batch:
+            yield from self._request(message, samples)
+
+    def _collect(
+        self,
+        streams: list,
+        samples: list[Sample],
+        warmup_fraction: float,
+        failed_latency: bool = False,
+    ) -> typing.Generator:
+        yield self.sim.all_of(streams)
+        return DriverResult.from_samples(samples, warmup_fraction, failed_latency)
+
+    def result(self) -> DriverResult:
+        """Statistics over the measured (post-warm-up) portion of the run."""
+        return DriverResult.from_samples(self._samples, self.warmup_fraction)
+
+
+class OpenLoopDriver(RequestClient):
     """Open-loop (Poisson) load generator.
 
     Issues write requests at a fixed offered rate with exponential
@@ -220,31 +401,15 @@ class OpenLoopDriver:
     ) -> None:
         if offered_rate <= 0:
             raise ValueError(f"offered rate must be positive, got {offered_rate!r}")
-        if not 0.0 <= warmup_fraction < 0.5:
-            raise ValueError("warmup_fraction must be in [0, 0.5)")
-        self.sim = sim
-        self.tier = tier
-        self.factory = factory
-        self.offered_rate = offered_rate  # requests/second
-        self.warmup_fraction = warmup_fraction
-        self.address = address or f"openloop-{factory.vm_id}-p{port_index}"
-        self._rng = random.Random(seed)
-        port = NetworkPort(
-            sim, rate=tier.platform.network.port_rate, name=f"{self.address}.port"
+        super().__init__(
+            sim,
+            factory,
+            address or f"openloop-{factory.vm_id}-p{port_index}",
+            warmup_fraction,
         )
-        self.endpoint = RoceEndpoint(sim, port, self.address, spec=tier.platform.network)
-        self.qp = tier.attach_client(self.endpoint, port_index=port_index)
-        # (start, end, payload, status, lba) per completed request.
-        self._samples: list[tuple[float, float, int, str, int]] = []
-        self._reply_events: dict[int, typing.Any] = {}
-        sim.process(self._reply_loop(), name=f"{self.address}.replies", daemon=True)
-
-    def _reply_loop(self) -> typing.Generator:
-        while True:
-            message: Message = yield self.qp.recv()
-            event = self._reply_events.pop(message.header.get("in_reply_to"), None)
-            if event is not None:
-                event.succeed(message)
+        self.offered_rate = offered_rate  # requests/second
+        self._rng = random.Random(seed)
+        self._attach(tier, port_index)
 
     def run(self, n_requests: int) -> typing.Any:
         """Offer `n_requests` at the configured rate; returns a process
@@ -258,69 +423,13 @@ class OpenLoopDriver:
         outstanding = []
         for _ in range(n_requests):
             yield self.sim.timeout(self._rng.expovariate(self.offered_rate))
-            outstanding.append(self.sim.process(self._one_request()))
+            request = self._request(self.factory.make(), self._samples)
+            outstanding.append(self.sim.process(request))
         yield self.sim.all_of(outstanding)
-        ordered = sorted(self._samples, key=lambda sample: sample[1])
-        skip = int(len(ordered) * self.warmup_fraction)
-        measured = ordered[skip:] if skip else ordered
-        # Latency and payload bytes cover ok requests only — a shed reply
-        # returns in microseconds and would otherwise *improve* the tail
-        # while goodput collapses. `throughput` is therefore goodput.
-        latency = LatencyRecorder("openloop-latency")
-        payload_bytes = 0
-        failures: list[tuple[int, str]] = []
-        for start, end, size, status, lba in measured:
-            if status == "ok":
-                latency.record(end - start)
-                payload_bytes += size
-            else:
-                failures.append((lba, status))
-        duration = max(measured[-1][1] - measured[0][1], 1e-12)
-        return DriverResult(
-            requests=len(measured),
-            payload_bytes=payload_bytes,
-            duration=duration,
-            latency=latency,
-            failures=tuple(failures),
-        )
-
-    def _one_request(self) -> typing.Generator:
-        message = self.factory.make()
-        collector = self.sim._span_collector
-        root = tx = None
-        if collector is not None:
-            root = collector.request(
-                message.kind,
-                message.request_id,
-                vm=self.factory.vm_id,
-                lba=message.header.get("block_id"),
-            )
-            # The transport reassigns message.span to its own child, so
-            # hold the tx span locally to finish it.
-            tx = message.span = root.child("client.tx")
-        reply_event = self.sim.event()
-        self._reply_events[message.request_id] = reply_event
-        start = self.sim.now
-        yield from self.qp.transmit(message)
-        if tx is not None:
-            tx.finish(nbytes=message.size)
-        reply = yield reply_event
-        status = reply.header.get("status", "ok")
-        if root is not None:
-            outcome = "ok" if status == "ok" else ("shed" if status == "shed" else "failed")
-            root.finish(outcome, nbytes=reply.payload_size, status=status)
-        self._samples.append(
-            (
-                start,
-                self.sim.now,
-                message.payload_size,
-                status,
-                message.header.get("block_id", -1),
-            )
-        )
+        return self.result()
 
 
-class ClientDriver:
+class ClientDriver(RequestClient):
     """Closed-loop load generator: `concurrency` outstanding requests.
 
     Plays the role of the request-issuing server in §5.1. Latency is
@@ -341,35 +450,11 @@ class ClientDriver:
     ) -> None:
         if concurrency < 1:
             raise ValueError(f"concurrency must be >= 1, got {concurrency}")
-        if not 0.0 <= warmup_fraction < 0.5:
-            raise ValueError("warmup_fraction must be in [0, 0.5)")
-        self.sim = sim
-        self.tier = tier
-        self.factory = factory
+        super().__init__(
+            sim, factory, address or f"client-{factory.vm_id}-p{port_index}", warmup_fraction
+        )
         self.concurrency = concurrency
-        self.warmup_fraction = warmup_fraction
-        self.address = address or f"client-{factory.vm_id}-p{port_index}"
-        port = NetworkPort(
-            sim, rate=tier.platform.network.port_rate, name=f"{self.address}.port"
-        )
-        self.endpoint = RoceEndpoint(
-            sim, port, self.address, spec=tier.platform.network
-        )
-        self.qp = tier.attach_client(self.endpoint, port_index=port_index)
-        self._samples: list[tuple[float, float, int]] = []  # (start, end, payload)
-        self._reply_events: dict[int, typing.Any] = {}
-        self.replies_unmatched = Counter(f"{self.address}.unmatched")
-        sim.process(self._reply_loop(), name=f"{self.address}.replies", daemon=True)
-
-    def _reply_loop(self) -> typing.Generator:
-        while True:
-            message: Message = yield self.qp.recv()
-            request_id = message.header.get("in_reply_to")
-            event = self._reply_events.pop(request_id, None)
-            if event is None:
-                self.replies_unmatched.add()
-            else:
-                event.succeed(message)
+        self._attach(tier, port_index)
 
     def run(self, n_requests: int) -> typing.Any:
         """Issue `n_requests` total across the closed-loop streams.
@@ -377,47 +462,13 @@ class ClientDriver:
         Returns an event (process) that fires with a
         :class:`DriverResult` when the run completes.
         """
-        if n_requests < self.concurrency:
-            raise ValueError("n_requests must be >= concurrency")
+        batches = self._writes(n_requests, self.concurrency)
         self.tier.start()
-        per_stream = n_requests // self.concurrency
-        streams = [
-            self.sim.process(self._stream(per_stream), name=f"{self.address}.s{i}")
-            for i in range(self.concurrency)
-        ]
-        return self.sim.process(self._collect(streams, n_requests), name=f"{self.address}.run")
-
-    def _stream(self, n_requests: int) -> typing.Generator:
-        collector = self.sim._span_collector
-        for _ in range(n_requests):
-            message = self.factory.make()
-            root = tx = None
-            if collector is not None:
-                root = collector.request(
-                    message.kind,
-                    message.request_id,
-                    vm=self.factory.vm_id,
-                    lba=message.header.get("block_id"),
-                )
-                # The transport reassigns message.span to its own child,
-                # so hold the tx span locally to finish it.
-                tx = message.span = root.child("client.tx")
-            reply_event = self.sim.event(name=f"reply:{message.request_id}")
-            self._reply_events[message.request_id] = reply_event
-            start = self.sim.now
-            yield from self.qp.transmit(message)
-            if tx is not None:
-                tx.finish(nbytes=message.size)
-            reply = yield reply_event
-            if root is not None:
-                status = reply.header.get("status", "ok")
-                outcome = "ok" if status == "ok" else ("shed" if status == "shed" else "failed")
-                root.finish(outcome, nbytes=reply.payload_size, status=status)
-            self._samples.append((start, self.sim.now, message.payload_size))
-
-    def _collect(self, streams: list, n_requests: int) -> typing.Generator:
-        yield self.sim.all_of(streams)
-        return self.result()
+        streams = self._spawn_streams(batches, self._samples)
+        return self.sim.process(
+            self._collect(streams, self._samples, self.warmup_fraction),
+            name=f"{self.address}.run",
+        )
 
     def run_reads(self, lbas: typing.Sequence[int], concurrency: int | None = None) -> typing.Any:
         """Issue read requests for `lbas` (closed loop); returns a process
@@ -426,83 +477,16 @@ class ClientDriver:
         Per-read failures are *surfaced*, not folded away: a reply with
         ``status != "ok"`` (``unavailable`` after exhausted fail-over,
         ``not_found``) lands in :attr:`DriverResult.failures` with its
-        LBA, so callers can tell which reads the aggregate hides.
+        LBA, so callers can tell which reads the aggregate hides. Unlike
+        every other run, failed reads also count in ``latency``: how
+        long a client waits to learn a block is ``unavailable`` is part
+        of the read tail.
         """
-        concurrency = concurrency or self.concurrency
-        lbas = list(lbas)
-        if not lbas:
-            raise ValueError("no LBAs to read")
+        batches = self._reads(lbas, concurrency or self.concurrency)
         self.tier.start()
-        samples: list[tuple[float, float, int]] = []
-        failures: list[tuple[int, str]] = []
-        shards = [lbas[i::concurrency] for i in range(concurrency)]
-
-        collector = self.sim._span_collector
-
-        def stream(shard):
-            for lba in shard:
-                message = self.factory.make_read(lba)
-                root = tx = None
-                if collector is not None:
-                    root = collector.request(
-                        message.kind, message.request_id, vm=self.factory.vm_id, lba=lba
-                    )
-                    tx = message.span = root.child("client.tx")
-                reply_event = self.sim.event()
-                self._reply_events[message.request_id] = reply_event
-                start = self.sim.now
-                yield from self.qp.transmit(message)
-                if tx is not None:
-                    tx.finish(nbytes=message.size)
-                reply = yield reply_event
-                status = reply.header.get("status", "ok")
-                if root is not None:
-                    outcome = (
-                        "ok" if status == "ok" else ("shed" if status == "shed" else "failed")
-                    )
-                    root.finish(outcome, nbytes=reply.payload_size, status=status)
-                if status != "ok":
-                    failures.append((lba, status))
-                samples.append((start, self.sim.now, reply.payload_size))
-
-        streams = [self.sim.process(stream(shard)) for shard in shards if shard]
-
-        def collect():
-            yield self.sim.all_of(streams)
-            ordered = sorted(samples, key=lambda sample: sample[1])
-            latency = LatencyRecorder("read-latency")
-            payload_bytes = 0
-            for begin, end, size in ordered:
-                latency.record(end - begin)
-                payload_bytes += size
-            duration = max(ordered[-1][1] - ordered[0][1], 1e-12)
-            return DriverResult(
-                requests=len(ordered),
-                payload_bytes=payload_bytes,
-                duration=duration,
-                latency=latency,
-                failures=tuple(failures),
-            )
-
-        return self.sim.process(collect())
-
-    def result(self) -> DriverResult:
-        """Statistics over the measured (post-warm-up) portion of the run."""
-        if not self._samples:
-            raise RuntimeError("driver has no completed requests")
-        ordered = sorted(self._samples, key=lambda sample: sample[1])
-        skip = int(len(ordered) * self.warmup_fraction)
-        measured = ordered[skip:] if skip else ordered
-        latency = LatencyRecorder("client-latency")
-        payload_bytes = 0
-        for start, end, size in measured:
-            latency.record(end - start)
-            payload_bytes += size
-        window_start = measured[0][1]
-        window_end = measured[-1][1]
-        return DriverResult(
-            requests=len(measured),
-            payload_bytes=payload_bytes,
-            duration=max(window_end - window_start, 1e-12),
-            latency=latency,
+        samples: list[Sample] = []
+        streams = self._spawn_streams(batches, samples)
+        return self.sim.process(
+            self._collect(streams, samples, 0.0, failed_latency=True),
+            name=f"{self.address}.reads",
         )

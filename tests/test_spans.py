@@ -19,7 +19,13 @@ from repro.net.message import Message
 from repro.sim import Simulator
 from repro.telemetry.profiler import COMPONENTS, component_of
 from repro.telemetry.registry import MetricsRegistry
-from repro.telemetry.spans import OUTCOMES, SpanCollector, TraceSession
+from repro.telemetry.spans import (
+    OUTCOMES,
+    REPLY_STATUSES,
+    SpanCollector,
+    TraceSession,
+    outcome_of,
+)
 from repro.units import usec
 from repro.workloads import ClientDriver, WriteRequestFactory
 
@@ -87,6 +93,26 @@ class TestSpan:
 
     def test_outcome_vocabulary(self):
         assert OUTCOMES == ("ok", "degraded", "retried", "failed", "shed")
+
+    def test_reply_status_outcomes(self):
+        assert outcome_of("ok") == "ok"
+        assert outcome_of("ok", retried=True) == "retried"
+        assert outcome_of("shed") == "shed"
+        assert outcome_of("shed", retried=True) == "shed"
+        for status in ("unavailable", "not_found", "wrong_shard"):
+            assert outcome_of(status) == "failed"
+        assert {outcome_of(status) for status in REPLY_STATUSES} <= set(OUTCOMES)
+
+    def test_status_sets_derive_from_the_reply_statuses(self):
+        from repro.experiments import ext_cluster, ext_overload
+        from repro.telemetry import slo
+
+        assert REPLY_STATUSES == {"ok", "shed", "unavailable", "not_found", "wrong_shard"}
+        assert ext_cluster.TERMINAL_STATUSES == REPLY_STATUSES
+        # The overload experiment is unrouted: a routing bounce is an error there.
+        assert ext_overload.TERMINAL_STATUSES == {"ok", "shed", "unavailable", "not_found"}
+        assert slo.IGNORED_STATUSES == {"wrong_shard"}
+        assert slo.BAD_STATUSES == {"shed", "unavailable", "not_found", "failed"}
 
 
 class TestSpanCollector:
