@@ -26,11 +26,18 @@ blocks:
   the output block is assembled with gather/scatter index arithmetic.
   The only per-sequence Python left is a pointer-following loop over a
   precomputed jump table. See ``docs/performance.md`` for the profile.
+
+Both paths run on numpy, which this module does not import until the
+codec first compresses (:func:`load_vector_backend`): a run that never
+compresses real bytes never pays numpy's import time or memory.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import typing
+
+#: The numpy module, bound by :func:`load_vector_backend` (None until then).
+np: typing.Any = None
 
 #: Minimum match length the format can encode.
 MIN_MATCH = 4
@@ -53,8 +60,9 @@ SKIP_TRIGGER = 5
 #: Stride for chunked match extension in the scalar path.
 _EXTEND_STRIDE = 32
 
-#: Fibonacci multiplicative-hash constant (reference LZ4's 2654435761).
-_HASH_MULTIPLIER = np.uint32(2654435761)
+#: Fibonacci multiplicative-hash constant (reference LZ4's 2654435761),
+#: as a ``np.uint32`` once :func:`load_vector_backend` has run.
+_HASH_MULTIPLIER: typing.Any = 2654435761
 
 #: Inputs shorter than this take the scalar path: below ~1 KiB the fixed
 #: cost of the vector passes exceeds the whole scalar scan.
@@ -96,6 +104,28 @@ _FINISH_SCALAR = 16
 #: few sizes recur constantly.
 _SIZE_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 _SIZE_CACHE_MAX = 8
+
+
+#: Grow-only ``arange`` cache behind :func:`_iota`; built by
+#: :func:`load_vector_backend`.
+_IOTA: typing.Any = None
+
+
+def load_vector_backend() -> None:
+    """Import numpy and build the codec's array constants (idempotent).
+
+    :func:`lz4_compress` calls this on first use. Callers that will
+    compress real bytes may call it ahead of time, so the import lands
+    in their set-up rather than in their first compression.
+    """
+    global np, _HASH_MULTIPLIER, _IOTA
+    if np is not None:
+        return
+    import numpy
+
+    _HASH_MULTIPLIER = numpy.uint32(2654435761)
+    _IOTA = numpy.arange(8192, dtype=numpy.intp)
+    np = numpy
 
 
 class CorruptFrameError(ValueError):
@@ -155,6 +185,8 @@ def lz4_compress(
     ``peak_table_entries`` (test/diagnostic hook; zero hot-path cost) —
     both are at most ``2**_hash_log`` for any input size.
     """
+    if np is None:
+        load_vector_backend()
     src = memoryview(bytes(data))
     n = len(src)
     if _VECTOR_MIN <= n <= _VECTOR_MAX:
@@ -505,9 +537,6 @@ def _compress_vector(
 
     _emit_sequence(out, src[anchor:n], offset=None, match_extra=0)
     return bytes(out)
-
-
-_IOTA = np.arange(8192, dtype=np.intp)
 
 
 def _iota(total: int) -> np.ndarray:

@@ -29,6 +29,10 @@ class DmaTraffic:
     dram_write: int
 
 
+#: The traffic of every DMA the LLC absorbs (shared: records are frozen).
+_NO_DRAM_TRAFFIC = DmaTraffic(dram_read=0, dram_write=0)
+
+
 class DdioLlc:
     """Decides LLC-vs-DRAM placement for device DMA traffic."""
 
@@ -55,7 +59,7 @@ class DdioLlc:
         if nbytes < 0 or working_set < 0:
             raise ValueError("byte counts must be non-negative")
         if self.fits(working_set):
-            return DmaTraffic(dram_read=0, dram_write=0)
+            return _NO_DRAM_TRAFFIC
         return DmaTraffic(dram_read=0, dram_write=nbytes)
 
     def dma_read(self, nbytes: int, working_set: int) -> DmaTraffic:
@@ -67,5 +71,5 @@ class DdioLlc:
         if nbytes < 0 or working_set < 0:
             raise ValueError("byte counts must be non-negative")
         if self.fits(working_set):
-            return DmaTraffic(dram_read=0, dram_write=0)
+            return _NO_DRAM_TRAFFIC
         return DmaTraffic(dram_read=nbytes, dram_write=0)

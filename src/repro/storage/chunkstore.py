@@ -14,9 +14,14 @@ import itertools
 import typing
 
 
-@dataclasses.dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True, slots=True)
 class StoredBlock:
-    """One log entry: an appended (usually compressed) block."""
+    """One log entry: an appended (usually compressed) block.
+
+    A record carries its payload's attributes as fields, with no
+    per-record dict: a store keeps one record per written replica for
+    the whole run.
+    """
 
     location: int  # store-unique id, stands in for (chunk offset)
     chunk_id: int
@@ -24,7 +29,18 @@ class StoredBlock:
     size: int
     data: bytes | None = None
     sequence: int = 0  # append order within the chunk
-    meta: dict = dataclasses.field(default_factory=dict)
+    is_compressed: bool = False
+    ratio: float = 1.0  # the payload's compression ratio
+    original_size: int | None = None  # uncompressed size, when compressed
+
+    @property
+    def meta(self) -> dict:
+        """The payload attributes as a dict (built on each access)."""
+        return {
+            "is_compressed": self.is_compressed,
+            "ratio": self.ratio,
+            "original_size": self.original_size,
+        }
 
 
 class ChunkStore:
@@ -36,9 +52,13 @@ class ChunkStore:
         # Per chunk, each block's newest retained record, so `latest`
         # need not scan the log while that record is live.
         self._newest: dict[int, dict[int, StoredBlock]] = {}
-        self._by_location: dict[int, StoredBlock] = {}
-        self._live: dict[int, bool] = {}
+        # Every retained record sits in exactly one of these, by location:
+        # live, or dead (superseded) but not yet reclaimed by `gc`.
+        self._live: dict[int, StoredBlock] = {}
+        self._dead: dict[int, StoredBlock] = {}
         self._snapshots: dict[int, tuple[int, ...]] = {}
+        # How many snapshots pin each location (absent: none).
+        self._pins: dict[int, int] = {}
         self._snapshot_ids = itertools.count(1)
         self.bytes_appended = 0
         self.bytes_reclaimed = 0
@@ -49,7 +69,10 @@ class ChunkStore:
         block_id: int,
         size: int,
         data: bytes | None = None,
-        meta: dict | None = None,
+        *,
+        is_compressed: bool = False,
+        ratio: float = 1.0,
+        original_size: int | None = None,
     ) -> StoredBlock:
         """Append a block to a chunk's log; returns its stored record."""
         if size < 0:
@@ -64,59 +87,65 @@ class ChunkStore:
             size=size,
             data=data,
             sequence=len(log),
-            meta=dict(meta or {}),
+            is_compressed=is_compressed,
+            ratio=ratio,
+            original_size=original_size,
         )
         log.append(record)
         self._newest.setdefault(chunk_id, {})[block_id] = record
-        self._by_location[record.location] = record
-        self._live[record.location] = True
+        self._live[record.location] = record
         self.bytes_appended += size
         return record
 
     def read(self, location: int) -> StoredBlock:
-        """Fetch a stored block by location; raises KeyError if reclaimed."""
-        record = self._by_location.get(location)
-        if record is None or not self._live[location]:
+        """Fetch a stored block by location; raises KeyError if not live."""
+        record = self._live.get(location)
+        if record is None:
             raise KeyError(f"location {location} does not hold a live block")
         return record
 
     def latest(self, chunk_id: int, block_id: int) -> StoredBlock | None:
         """Most recent live version of a block in a chunk (None if absent)."""
         newest = self._newest.get(chunk_id, {}).get(block_id)
-        if newest is None or self._live[newest.location]:
+        if newest is None or newest.location in self._live:
             return newest
         # The newest version is dead (compaction superseded it, and it
         # stays in the log until GC, or while a snapshot pins it): an
         # older one may be live.
         for record in reversed(self._chunks[chunk_id]):
-            if record.block_id == block_id and self._live[record.location]:
+            if record.block_id == block_id and record.location in self._live:
                 return record
         return None
 
     def live_blocks(self, chunk_id: int) -> list[StoredBlock]:
         """All live entries of a chunk, oldest first."""
-        return [r for r in self._chunks.get(chunk_id, []) if self._live[r.location]]
+        return [r for r in self._chunks.get(chunk_id, []) if r.location in self._live]
 
     def mark_dead(self, location: int) -> None:
         """Mark an entry as superseded (compaction output replaces it)."""
-        if location not in self._live:
+        record = self._live.pop(location, None)
+        if record is not None:
+            self._dead[location] = record
+        elif location not in self._dead:
             raise KeyError(f"unknown location {location}")
-        self._live[location] = False
 
     def gc(self, chunk_id: int) -> int:
         """Drop dead entries of a chunk; returns reclaimed bytes.
 
-        Entries captured by a snapshot are retained even if dead.
+        Entries captured by a snapshot are retained even if dead. The
+        walk covers the chunk's retained log only, whatever the number
+        of snapshots.
         """
         log = self._chunks.get(chunk_id, [])
-        pinned = {loc for snap in self._snapshots.values() for loc in snap}
+        dead = self._dead
+        pins = self._pins
         reclaimed = 0
         kept = []
         for record in log:
-            if not self._live[record.location] and record.location not in pinned:
+            location = record.location
+            if location in dead and location not in pins:
                 reclaimed += record.size
-                del self._by_location[record.location]
-                del self._live[record.location]
+                del dead[location]
             else:
                 kept.append(record)
         self._chunks[chunk_id] = kept
@@ -127,25 +156,39 @@ class ChunkStore:
     def snapshot(self) -> int:
         """Pin the current live set; returns a snapshot id."""
         snap_id = next(self._snapshot_ids)
-        self._snapshots[snap_id] = tuple(loc for loc, live in self._live.items() if live)
+        locations = tuple(self._live)
+        pins = self._pins
+        for location in locations:
+            pins[location] = pins.get(location, 0) + 1
+        self._snapshots[snap_id] = locations
         return snap_id
 
     def snapshot_blocks(self, snap_id: int) -> list[StoredBlock]:
         """The blocks captured by a snapshot (still readable after GC)."""
         if snap_id not in self._snapshots:
             raise KeyError(f"unknown snapshot {snap_id}")
-        return [self._by_location[loc] for loc in self._snapshots[snap_id]]
+        live, dead = self._live, self._dead
+        return [
+            live[loc] if loc in live else dead[loc] for loc in self._snapshots[snap_id]
+        ]
 
     def drop_snapshot(self, snap_id: int) -> None:
         """Release a snapshot's pins."""
-        if snap_id not in self._snapshots:
+        locations = self._snapshots.pop(snap_id, None)
+        if locations is None:
             raise KeyError(f"unknown snapshot {snap_id}")
-        del self._snapshots[snap_id]
+        pins = self._pins
+        for location in locations:
+            count = pins[location] - 1
+            if count:
+                pins[location] = count
+            else:
+                del pins[location]
 
     @property
     def live_bytes(self) -> int:
         """Bytes currently live across all chunks."""
-        return sum(r.size for loc, r in self._by_location.items() if self._live[loc])
+        return sum(record.size for record in self._live.values())
 
     def chunk_ids(self) -> typing.KeysView[int]:
         """All chunk ids ever written."""

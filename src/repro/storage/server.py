@@ -107,11 +107,9 @@ class StorageServer:
             block_id=message.header.get("block_id", message.request_id),
             size=payload.size,
             data=payload.data,
-            meta={
-                "is_compressed": payload.is_compressed,
-                "ratio": payload.ratio,
-                "original_size": payload.original_size,
-            },
+            is_compressed=payload.is_compressed,
+            ratio=payload.ratio,
+            original_size=payload.original_size,
         )
         self.writes_served.add()
         ack = message.reply("storage_ack", location=record.location, server=self.address)
@@ -169,13 +167,12 @@ class StorageServer:
             return
         self.reads_served.add()
         self.read_bytes_served.add(record.size)
-        meta = record.meta
         payload = Payload(
             size=record.size,
-            ratio=meta.get("ratio", 1.0),
+            ratio=record.ratio,
             data=record.data,
-            is_compressed=meta.get("is_compressed", False),
-            original_size=meta.get("original_size"),
+            is_compressed=record.is_compressed,
+            original_size=record.original_size,
         )
         reply = message.reply("storage_read_reply", block_id=block_id)
         reply.payload = payload

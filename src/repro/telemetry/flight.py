@@ -34,6 +34,7 @@ import typing
 
 from repro.params import FlightSpec
 from repro.telemetry.registry import Histogram, registry_for
+from repro.telemetry.spans import OUTCOMES
 from repro.units import to_usec
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -41,8 +42,8 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 from collections import deque
 
-#: Span outcomes that make a whole trace worth keeping.
-ANOMALOUS_OUTCOMES = frozenset({"degraded", "retried", "failed", "shed"})
+#: Span outcomes that make a whole trace worth keeping: all but ``ok``.
+ANOMALOUS_OUTCOMES = frozenset(OUTCOMES) - {"ok"}
 
 
 class TraceRecord:

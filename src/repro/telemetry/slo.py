@@ -32,18 +32,19 @@ from collections import deque
 
 from repro.params import SLOSpec
 from repro.telemetry.registry import registry_for
-from repro.telemetry.spans import REPLY_STATUSES
+from repro.telemetry.spans import OUTCOMES, REPLY_STATUSES, SERVED_OUTCOMES
 from repro.units import msec, to_usec
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.kernel import Simulator
     from repro.telemetry.flight import FlightRecorder, TraceRecord
 
-#: Terminal statuses that consume error budget.
-BAD_STATUSES = frozenset({"shed", "unavailable", "not_found", "failed"})
 #: Reply statuses that are neither good nor bad (routing bounces are
 #: corrected by the client's map refetch, not served wrong).
-IGNORED_STATUSES = REPLY_STATUSES - BAD_STATUSES - {"ok"}
+IGNORED_STATUSES = frozenset({"wrong_shard"})
+#: Terminal statuses that consume error budget: every reply status and
+#: span outcome that is neither ignored nor served.
+BAD_STATUSES = (REPLY_STATUSES | frozenset(OUTCOMES)) - IGNORED_STATUSES - SERVED_OUTCOMES
 
 #: The stock objectives ``runner --slo`` watches when the experiment
 #: doesn't declare its own (platform.slos).

@@ -47,6 +47,9 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 #: Outcome tags every stage draws from (see module docstring).
 OUTCOMES = ("ok", "degraded", "retried", "failed", "shed")
+#: Outcomes of a request that was answered with data: ``retried`` and
+#: ``degraded`` still served it.
+SERVED_OUTCOMES = frozenset({"ok", "retried", "degraded"})
 #: Every ``status`` a middle tier answers a request with.
 REPLY_STATUSES = frozenset({"ok", "shed", "unavailable", "not_found", "wrong_shard"})
 

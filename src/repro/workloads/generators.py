@@ -8,6 +8,7 @@ import itertools
 import random
 import typing
 
+from repro.compression.lz4 import load_vector_backend
 from repro.compression.model import RatioSampler
 from repro.net.link import NetworkPort
 from repro.net.message import Message, Payload
@@ -30,7 +31,9 @@ class WriteRequestFactory:
       `ratio_sampler`, calibrated on the Silesia-like corpus;
     - *functional*: pass `blocks` (real byte blocks, e.g. from
       :meth:`repro.compression.corpus.SilesiaLikeCorpus.blocks`) and
-      requests will cycle through them carrying real data.
+      requests will cycle through them carrying real data. Building a
+      functional-mode factory loads the LZ4 codec's numpy backend, so
+      the import lands in set-up rather than in the first write.
     """
 
     def __init__(
@@ -51,8 +54,10 @@ class WriteRequestFactory:
         self.spread_segments = spread_segments
         self.ratio_sampler = ratio_sampler or RatioSampler.constant(2.1)
         self.blocks = list(blocks) if blocks is not None else None
-        if self.blocks is not None and not self.blocks:
-            raise ValueError("functional mode needs at least one block")
+        if self.blocks is not None:
+            if not self.blocks:
+                raise ValueError("functional mode needs at least one block")
+            load_vector_backend()
         self.latency_sensitive_fraction = latency_sensitive_fraction
         self.vm_id = vm_id
         self._rng = random.Random(seed)

@@ -22,6 +22,7 @@ from repro.telemetry.registry import MetricsRegistry
 from repro.telemetry.spans import (
     OUTCOMES,
     REPLY_STATUSES,
+    SERVED_OUTCOMES,
     SpanCollector,
     TraceSession,
     outcome_of,
@@ -105,7 +106,7 @@ class TestSpan:
 
     def test_status_sets_derive_from_the_reply_statuses(self):
         from repro.experiments import ext_cluster, ext_overload
-        from repro.telemetry import slo
+        from repro.telemetry import flight, slo
 
         assert REPLY_STATUSES == {"ok", "shed", "unavailable", "not_found", "wrong_shard"}
         assert ext_cluster.TERMINAL_STATUSES == REPLY_STATUSES
@@ -113,6 +114,13 @@ class TestSpan:
         assert ext_overload.TERMINAL_STATUSES == {"ok", "shed", "unavailable", "not_found"}
         assert slo.IGNORED_STATUSES == {"wrong_shard"}
         assert slo.BAD_STATUSES == {"shed", "unavailable", "not_found", "failed"}
+        assert flight.ANOMALOUS_OUTCOMES == {"degraded", "retried", "failed", "shed"}
+        assert SERVED_OUTCOMES == {"ok", "retried", "degraded"}
+        # Both follow the vocabulary: a new status or outcome lands in them.
+        assert slo.BAD_STATUSES == (
+            (REPLY_STATUSES | set(OUTCOMES)) - slo.IGNORED_STATUSES - SERVED_OUTCOMES
+        )
+        assert flight.ANOMALOUS_OUTCOMES == set(OUTCOMES) - {"ok"}
 
 
 class TestSpanCollector:

@@ -1,5 +1,7 @@
 """Unit tests for the storage substrate."""
 
+import itertools
+
 import pytest
 
 from repro.net import Message, NetworkPort, Payload, RoceEndpoint
@@ -78,6 +80,16 @@ class CountingLog(list):
             yield record
 
 
+class CountingLocation(int):
+    """A store location that counts how often it is hashed (looked up)."""
+
+    hashed = 0
+
+    def __hash__(self):
+        CountingLocation.hashed += 1
+        return int.__hash__(self)
+
+
 class TestChunkStore:
     def test_append_and_read(self):
         store = ChunkStore()
@@ -153,6 +165,35 @@ class TestChunkStore:
             return log.walked
 
         assert inspected(256) == inspected(2048)
+
+    def test_gc_and_snapshot_walks_ignore_other_snapshots_and_dead_entries(self):
+        # Maintenance cost must follow the chunk being collected and the
+        # live set being pinned: neither the number of snapshots nor the
+        # dead entries they pin elsewhere may add lookups to a `gc` or a
+        # `snapshot` call.
+        def lookups(n_snapshots: int, n_dead: int) -> tuple[int, int]:
+            store = ChunkStore()
+            store._locations = map(CountingLocation, itertools.count(1))
+            doomed = [store.append(1, block, 8) for block in range(n_dead)]
+            for block in range(64):
+                store.append(0, block, 8)
+            for _ in range(n_snapshots):
+                store.snapshot()
+            for record in doomed:  # pinned: they stay until the snapshots go
+                store.mark_dead(record.location)
+            for record in [store.append(0, block, 8) for block in range(16)]:
+                store.mark_dead(record.location)
+            CountingLocation.hashed = 0
+            assert store.gc(0) == 16 * 8
+            gc_lookups = CountingLocation.hashed
+            CountingLocation.hashed = 0
+            store.snapshot()
+            return gc_lookups, CountingLocation.hashed
+
+        baseline = lookups(1, 256)
+        assert lookups(16, 256) == baseline
+        assert lookups(1, 2048) == baseline
+        assert lookups(16, 2048) == baseline
 
     def test_unknown_location_rejected(self):
         store = ChunkStore()
