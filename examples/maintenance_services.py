@@ -42,13 +42,7 @@ def main():
     def rewriting_client():
         tier.start()
         for i in range(60):
-            message = factory.make()
-            message.header["block_id"] = i % 20
-            message.header["chunk_id"] = 0
-            event = sim.event()
-            driver._reply_events[message.request_id] = event
-            yield from driver.qp.transmit(message)
-            yield event
+            yield from driver.request(factory.make(i % 20))
 
     sim.process(rewriting_client())
     sim.run(until=msec(15))
@@ -74,13 +68,7 @@ def main():
 
     def trailing_writes():
         for i in range(15):
-            message = factory.make()
-            message.header["block_id"] = 100 + i
-            message.header["chunk_id"] = 0
-            event = sim.event()
-            driver._reply_events[message.request_id] = event
-            yield from driver.qp.transmit(message)
-            yield event
+            yield from driver.request(factory.make(100 + i))
 
     done = sim.process(trailing_writes())
     sim.run(until=done)

@@ -14,7 +14,7 @@ subpackages hold the full API:
 - :mod:`repro.sim` -- discrete-event simulation kernel
 - :mod:`repro.compression` -- LZ4 codec, synthetic Silesia-like corpus
 - :mod:`repro.hostmodel` -- CPU / memory / cache / PCIe models
-- :mod:`repro.net` -- links, NICs, RoCE transport, topology
+- :mod:`repro.net` -- links, NICs, RoCE transport
 - :mod:`repro.storage` -- disks, chunk stores, storage servers
 - :mod:`repro.middletier` -- baseline middle-tier designs
 - :mod:`repro.core` -- the SmartDS device, AAMS, and its API

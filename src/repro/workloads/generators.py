@@ -13,7 +13,7 @@ from repro.compression.model import RatioSampler
 from repro.net.link import NetworkPort
 from repro.net.message import Message, Payload
 from repro.net.roce import RoceEndpoint
-from repro.params import PlatformSpec
+from repro.params import NetworkSpec, PlatformSpec
 from repro.telemetry.metrics import Counter, LatencyRecorder
 from repro.telemetry.spans import outcome_of
 
@@ -63,8 +63,13 @@ class WriteRequestFactory:
         self._rng = random.Random(seed)
         self._next_lba = 0
 
-    def make(self) -> Message:
-        """Build the next write request."""
+    def make(self, lba: int | None = None) -> Message:
+        """Build the next write request, to `lba` when one is given.
+
+        Without `lba` the write goes to the stream's next LBA. Either
+        way the payload comes from the factory's sequence, and the
+        header (block, chunk and segment ids) is that of the LBA written.
+        """
         workload = self.platform.workload
         if self.blocks is not None:
             data = self.blocks[self._next_lba % len(self.blocks)]
@@ -73,9 +78,9 @@ class WriteRequestFactory:
             payload = Payload.synthetic(workload.block_size, self.ratio_sampler.sample())
         index = self._next_lba
         self._next_lba += 1
-        if self.spread_segments == 1:
+        if lba is None and self.spread_segments == 1:
             lba = index
-        else:
+        elif lba is None:
             # Interleave the sequential stream across the first N
             # segments so a sharded cluster sees traffic on every shard
             # instead of one 32 GB segment soaking everything.
@@ -252,19 +257,22 @@ class DriverResult:
 
 
 class RequestClient:
-    """What every request-issuing driver shares (the clients of §5.1).
+    """What every component that sends requests to a middle tier shares.
 
-    One reply loop per queue pair hands each reply to the request that
-    waits for it, :meth:`_request` is the one request round trip, and
-    :meth:`result` folds the samples it records.
+    The client opens its own port and RoCE endpoint; :meth:`_connect`
+    attaches it to a tier and starts one reply loop per queue pair,
+    which hands each reply to the request that waits for it.
+    :meth:`request` is the one round trip, :meth:`_request` the same
+    round trip recording a sample, and :meth:`result` folds the samples.
     """
 
     def __init__(
         self,
         sim: "Simulator",
-        factory: WriteRequestFactory,
+        network: NetworkSpec,
         address: str,
-        warmup_fraction: float,
+        factory: WriteRequestFactory | None = None,
+        warmup_fraction: float = 0.0,
     ) -> None:
         if not 0.0 <= warmup_fraction < 0.5:
             raise ValueError("warmup_fraction must be in [0, 0.5)")
@@ -275,15 +283,16 @@ class RequestClient:
         self._samples: list[Sample] = []
         self._reply_events: dict[int, typing.Any] = {}
         self.replies_unmatched = Counter(f"{address}.unmatched")
+        self.port = NetworkPort(sim, rate=network.port_rate, name=f"{address}.port")
+        self.endpoint = RoceEndpoint(sim, self.port, address, spec=network)
 
-    def _attach(self, tier: "MiddleTierServer", port_index: int) -> None:
-        """Open this client's own port and queue pair to `tier`."""
-        self.tier = tier
-        network = tier.platform.network
-        port = NetworkPort(self.sim, rate=network.port_rate, name=f"{self.address}.port")
-        self.endpoint = RoceEndpoint(self.sim, port, self.address, spec=network)
-        self.qp = tier.attach_client(self.endpoint, port_index=port_index)
-        self.sim.process(self._reply_loop(self.qp), name=f"{self.address}.replies", daemon=True)
+    def _connect(self, tier: "MiddleTierServer", port_index: int = 0) -> typing.Any:
+        """Open a queue pair to `tier` and start its reply loop."""
+        qp = tier.attach_client(self.endpoint, port_index=port_index)
+        self.sim.process(
+            self._reply_loop(qp), name=f"{self.address}.replies.{tier.address}", daemon=True
+        )
+        return qp
 
     def _reply_loop(self, qp: typing.Any) -> typing.Generator:
         while True:
@@ -293,6 +302,14 @@ class RequestClient:
                 self.replies_unmatched.add()
             else:
                 event.succeed(message)
+
+    def request(self, message: Message) -> typing.Generator:
+        """Send `message` and return its reply; records no sample.
+
+        Use as ``reply = yield from client.request(message)``.
+        """
+        reply, _attempts = yield from self._send(message, None)
+        return reply
 
     def _request(self, message: Message, samples: list[Sample]) -> typing.Generator:
         """Issue one request, wait for its answer, and record its sample.
@@ -408,13 +425,15 @@ class OpenLoopDriver(RequestClient):
             raise ValueError(f"offered rate must be positive, got {offered_rate!r}")
         super().__init__(
             sim,
-            factory,
+            tier.platform.network,
             address or f"openloop-{factory.vm_id}-p{port_index}",
+            factory,
             warmup_fraction,
         )
         self.offered_rate = offered_rate  # requests/second
         self._rng = random.Random(seed)
-        self._attach(tier, port_index)
+        self.tier = tier
+        self.qp = self._connect(tier, port_index)
 
     def run(self, n_requests: int) -> typing.Any:
         """Offer `n_requests` at the configured rate; returns a process
@@ -456,10 +475,15 @@ class ClientDriver(RequestClient):
         if concurrency < 1:
             raise ValueError(f"concurrency must be >= 1, got {concurrency}")
         super().__init__(
-            sim, factory, address or f"client-{factory.vm_id}-p{port_index}", warmup_fraction
+            sim,
+            tier.platform.network,
+            address or f"client-{factory.vm_id}-p{port_index}",
+            factory,
+            warmup_fraction,
         )
         self.concurrency = concurrency
-        self._attach(tier, port_index)
+        self.tier = tier
+        self.qp = self._connect(tier, port_index)
 
     def run(self, n_requests: int) -> typing.Any:
         """Issue `n_requests` total across the closed-loop streams.

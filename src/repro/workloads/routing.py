@@ -28,9 +28,7 @@ from __future__ import annotations
 import typing
 
 from repro.middletier.retry import RetryPolicy
-from repro.net.link import NetworkPort
 from repro.net.message import Message
-from repro.net.roce import RoceEndpoint
 from repro.telemetry.metrics import Counter, LatencyRecorder
 from repro.telemetry.registry import registry_for
 from repro.workloads.generators import RequestClient, WriteRequestFactory
@@ -55,26 +53,19 @@ class RoutingClient(RequestClient):
     ) -> None:
         if concurrency < 1:
             raise ValueError(f"concurrency must be >= 1, got {concurrency}")
-        super().__init__(sim, factory, address or f"router-{factory.vm_id}", warmup_fraction)
+        super().__init__(
+            sim,
+            cluster.platform.network,
+            address or f"router-{factory.vm_id}",
+            factory,
+            warmup_fraction,
+        )
         self.cluster = cluster
         self.spec = cluster.spec
         self.concurrency = concurrency
-        platform = cluster.platform
-        self.port = NetworkPort(
-            sim, rate=platform.network.port_rate, name=f"{self.address}.port"
-        )
-        self.endpoint = RoceEndpoint(sim, self.port, self.address, spec=platform.network)
         # One queue pair per shard, all over the same physical port.
-        self._qps = {}
-        for tier in cluster.tiers:
-            qp = tier.attach_client(self.endpoint)
-            self._qps[tier.address] = qp
-            sim.process(
-                self._reply_loop(qp),
-                name=f"{self.address}.replies.{tier.address}",
-                daemon=True,
-            )
-        recovery = platform.recovery
+        self._qps = {tier.address: self._connect(tier) for tier in cluster.tiers}
+        recovery = cluster.platform.recovery
         #: Bounds the stale-map retry loop; backoff jitter is a pure
         #: function of (seed, lba, attempt) so churn runs replay exactly.
         self.route_retry = RetryPolicy(

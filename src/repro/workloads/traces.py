@@ -16,8 +16,8 @@ import dataclasses
 import random
 import typing
 
-from repro.telemetry.metrics import Counter, LatencyRecorder
-from repro.workloads.generators import WriteRequestFactory
+from repro.net.message import Message
+from repro.workloads.generators import DriverResult, RequestClient, WriteRequestFactory
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.middletier.base import MiddleTierServer
@@ -90,17 +90,22 @@ def generate_trace(
 
 @dataclasses.dataclass
 class TraceReplayResult:
-    """What a replay measured, split by request kind."""
+    """What a replay measured, split by request kind.
 
-    write_latency: LatencyRecorder
-    read_latency: LatencyRecorder
-    writes: int
-    reads: int
-    read_misses: int
+    `write` and `read` are the usual driver folds of each kind's
+    requests (``None`` when the trace has none of that kind): a write
+    that was shed or failed lands in ``write.failures`` and not in its
+    latency, while failed reads (misses) stay in ``read.latency`` as in
+    :meth:`~repro.workloads.generators.ClientDriver.run_reads`.
+    """
+
+    write: DriverResult | None
+    read: DriverResult | None
+    #: From the replay's start to its last completion.
     duration: float
 
 
-class TraceReplayer:
+class TraceReplayer(RequestClient):
     """Replays a trace against a middle tier at its recorded timestamps."""
 
     def __init__(
@@ -110,27 +115,9 @@ class TraceReplayer:
         factory: WriteRequestFactory,
         port_index: int = 0,
     ) -> None:
-        from repro.net.link import NetworkPort
-        from repro.net.roce import RoceEndpoint
-
-        self.sim = sim
+        super().__init__(sim, tier.platform.network, "trace-client", factory)
         self.tier = tier
-        self.factory = factory
-        port = NetworkPort(
-            sim, rate=tier.platform.network.port_rate, name="trace-client.port"
-        )
-        self.endpoint = RoceEndpoint(sim, port, "trace-client", spec=tier.platform.network)
-        self.qp = tier.attach_client(self.endpoint, port_index=port_index)
-        self._reply_events: dict[int, typing.Any] = {}
-        self.read_misses = Counter("trace.read-misses")
-        sim.process(self._reply_loop(), name="trace.replies", daemon=True)
-
-    def _reply_loop(self) -> typing.Generator:
-        while True:
-            message = yield self.qp.recv()
-            event = self._reply_events.pop(message.header.get("in_reply_to"), None)
-            if event is not None:
-                event.succeed(message)
+        self.qp = self._connect(tier, port_index)
 
     def replay(self, trace: typing.Sequence[TraceEntry]) -> typing.Any:
         """Replay `trace`; returns a process firing with a
@@ -142,56 +129,27 @@ class TraceReplayer:
 
     def _replay(self, trace: list[TraceEntry]) -> typing.Generator:
         start = self.sim.now
-        write_latency = LatencyRecorder("trace.write")
-        read_latency = LatencyRecorder("trace.read")
-        counts = {"writes": 0, "reads": 0}
+        samples: dict[str, list] = {"write": [], "read": []}
         outstanding = []
         for entry in trace:
             wait = start + entry.at - self.sim.now
             if wait > 0:
                 yield self.sim.timeout(wait)
-            outstanding.append(
-                self.sim.process(self._one(entry, write_latency, read_latency, counts))
-            )
+            message = self._message(entry)
+            outstanding.append(self.sim.process(self._request(message, samples[entry.kind])))
         yield self.sim.all_of(outstanding)
+        writes, reads = samples["write"], samples["read"]
         return TraceReplayResult(
-            write_latency=write_latency,
-            read_latency=read_latency,
-            writes=counts["writes"],
-            reads=counts["reads"],
-            read_misses=self.read_misses.value,
+            write=DriverResult.from_samples(writes) if writes else None,
+            read=DriverResult.from_samples(reads, failed_latency=True) if reads else None,
             duration=self.sim.now - start,
         )
 
-    def _one(
-        self,
-        entry: TraceEntry,
-        write_latency: LatencyRecorder,
-        read_latency: LatencyRecorder,
-        counts: dict,
-    ) -> typing.Generator:
-        platform = self.tier.platform
-        chunk_blocks = platform.storage.chunk_bytes // platform.workload.block_size
+    def _message(self, entry: TraceEntry) -> Message:
         if entry.kind == "write":
-            message = self.factory.make()
-            message.header["block_id"] = entry.lba
-            message.header["chunk_id"] = entry.lba // chunk_blocks
+            message = self.factory.make(entry.lba)
             message.header["latency_sensitive"] = entry.latency_sensitive
-        elif entry.kind == "read":
-            message = self.factory.make_read(entry.lba)
-        else:
-            raise ValueError(f"unknown trace entry kind {entry.kind!r}")
-        reply_event = self.sim.event()
-        self._reply_events[message.request_id] = reply_event
-        begin = self.sim.now
-        yield from self.qp.transmit(message)
-        reply = yield reply_event
-        elapsed = self.sim.now - begin
-        if entry.kind == "write":
-            counts["writes"] += 1
-            write_latency.record(elapsed)
-        else:
-            counts["reads"] += 1
-            read_latency.record(elapsed)
-            if reply.header.get("status") != "ok":
-                self.read_misses.add()
+            return message
+        if entry.kind == "read":
+            return self.factory.make_read(entry.lba)
+        raise ValueError(f"unknown trace entry kind {entry.kind!r}")

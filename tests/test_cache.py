@@ -347,16 +347,7 @@ class TestSmartDsCachedReads:
 class TestReadYourWrites:
     def _read_payload(self, sim, driver, lba=0):
         """One read through the driver's QP, returning the raw reply."""
-        message = driver.factory.make_read(lba)
-        reply_event = sim.event()
-        driver._reply_events[message.request_id] = reply_event
-
-        def one_read():
-            yield driver.qp.send(message)
-            reply = yield reply_event
-            return reply
-
-        return sim.run(until=sim.process(one_read()))
+        return sim.run(until=sim.process(driver.request(driver.factory.make_read(lba))))
 
     def test_read_after_write_ack_never_sees_stale_bytes(self):
         """Warm the cache with version A of LBA 0, overwrite with B
@@ -432,15 +423,7 @@ class TestReadYourWrites:
         read = TestReadYourWrites._read_payload
         # Launch the read (it will fetch from storage) and, mid-fetch,
         # the overwrite; the write's invalidation must poison the fill.
-        message = driver.factory.make_read(0)
-        reply_event = sim.event()
-        driver._reply_events[message.request_id] = reply_event
-
-        def racing_read():
-            yield driver.qp.send(message)
-            yield reply_event
-
-        read_proc = sim.process(racing_read())
+        read_proc = sim.process(driver.request(driver.factory.make_read(0)))
         driver.factory = WriteRequestFactory(testbed.platform, blocks=[version_b], seed=7)
         sim.run(until=driver.run(8))
         sim.run(until=read_proc)

@@ -1,14 +1,17 @@
-"""Tests for ASCII charts, fabric topology, and trace replay."""
+"""Tests for ASCII charts, fabric latency, and trace replay."""
+
+import dataclasses
 
 import pytest
 
 from repro.middletier import CpuOnlyMiddleTier, Testbed
-from repro.net import NetworkPort, RoceEndpoint
-from repro.net.topology import Fabric, FabricSpec
+from repro.middletier.mapping import AddressMapper
+from repro.net import Datapath
+from repro.params import AdmissionSpec, PlatformSpec
 from repro.sim import Simulator
 from repro.telemetry.charts import bar_chart, line_chart
 from repro.telemetry.reporting import Series
-from repro.units import gbps, msec
+from repro.units import msec, usec
 from repro.workloads import WriteRequestFactory
 from repro.workloads.traces import TraceEntry, TraceReplayer, generate_trace
 
@@ -64,54 +67,16 @@ class TestBarChart:
 
 
 class TestFabric:
-    def _endpoint(self, sim, name):
-        return RoceEndpoint(sim, NetworkPort(sim, gbps(100), f"{name}.port"), name)
-
-    def test_same_rack_cheaper_than_cross_rack(self):
-        spec = FabricSpec()
-        assert spec.one_way_latency(True) < spec.one_way_latency(False)
-
-    def test_placement_and_latency(self):
-        sim = Simulator()
-        fabric = Fabric()
-        a = self._endpoint(sim, "a")
-        b = self._endpoint(sim, "b")
-        c = self._endpoint(sim, "c")
-        fabric.place(a, "rack1")
-        fabric.place(b, "rack1")
-        fabric.place(c, "rack2")
-        assert fabric.latency_between(a, b) == fabric.spec.one_way_latency(True)
-        assert fabric.latency_between(a, c) == fabric.spec.one_way_latency(False)
-
-    def test_network_spec_carries_path_latency(self):
-        sim = Simulator()
-        fabric = Fabric()
-        fabric.place("a", "r1")
-        fabric.place("b", "r2")
-        spec = fabric.network_spec_between("a", "b")
-        assert spec.switch_latency == fabric.spec.one_way_latency(False)
-        assert spec.port_rate == gbps(100)  # other fields preserved
-
-    def test_unplaced_endpoint_rejected(self):
-        fabric = Fabric()
-        with pytest.raises(KeyError):
-            fabric.rack_of("ghost")
-
     def test_cross_rack_storage_adds_write_latency(self):
         """3-way replication across racks costs measurable latency."""
 
-        def run(cross_rack):
-            import dataclasses
-
-            from repro.params import PlatformSpec
+        def run(switch_latency):
             from repro.workloads import ClientDriver
 
-            fabric = Fabric()
-            latency = fabric.spec.one_way_latency(not cross_rack)
             platform = PlatformSpec()
             platform = dataclasses.replace(
                 platform,
-                network=dataclasses.replace(platform.network, switch_latency=latency),
+                network=dataclasses.replace(platform.network, switch_latency=switch_latency),
             )
             sim = Simulator()
             testbed = Testbed(sim, platform)
@@ -122,7 +87,9 @@ class TestFabric:
             result = sim.run(until=driver.run(20))
             return result.latency.mean()
 
-        assert run(cross_rack=True) > run(cross_rack=False)
+        # One-way latency through a ToR switch (same rack) and through
+        # ToR, spine and ToR (cross rack) of a two-tier Clos fabric.
+        assert run(switch_latency=usec(2.7)) > run(switch_latency=usec(0.9))
 
 
 class TestTraceGeneration:
@@ -176,10 +143,11 @@ class TestTraceReplay:
             duration=msec(2), base_rate=100_000, read_fraction=0.2, seed=6
         )
         result = sim.run(until=replayer.replay(trace))
-        assert result.writes + result.reads == len(trace)
-        assert result.writes > 0 and result.reads > 0
-        assert result.write_latency.count == result.writes
-        assert result.read_latency.count == result.reads
+        assert result.write.requests + result.read.requests == len(trace)
+        assert result.write.requests > 0 and result.read.requests > 0
+        assert result.write.failures == ()
+        assert result.write.latency.count == result.write.requests
+        assert result.read.latency.count == result.read.requests
 
     def test_replay_paces_arrivals(self):
         """The replay must take at least the trace's span of time."""
@@ -191,6 +159,8 @@ class TestTraceReplay:
         trace = [TraceEntry(at=i * 0.0001, kind="write", lba=i) for i in range(10)]
         result = sim.run(until=replayer.replay(trace))
         assert result.duration >= 9 * 0.0001
+        assert result.read is None  # a write-only trace still has a result
+        assert result.write.requests == 10
 
     def test_empty_trace_rejected(self):
         sim = Simulator()
@@ -199,3 +169,51 @@ class TestTraceReplay:
         replayer = TraceReplayer(sim, tier, WriteRequestFactory(testbed.platform))
         with pytest.raises(ValueError):
             replayer.replay([])
+
+    def test_replayed_write_carries_its_own_lbas_segment(self):
+        """A trace write's header names the segment of the LBA it writes,
+        not of the factory's next sequential LBA."""
+
+        class HeaderTap(Datapath):
+            def __init__(self):
+                self.headers = []
+
+            def egress(self, message, qp):
+                self.headers.append(dict(message.header))
+                return
+                yield  # pragma: no cover - generator form
+
+        sim = Simulator()
+        testbed = Testbed(sim)
+        tier = CpuOnlyMiddleTier(sim, testbed, n_workers=2)
+        replayer = TraceReplayer(sim, tier, WriteRequestFactory(testbed.platform, seed=1))
+        tap = replayer.endpoint.datapath = HeaderTap()
+        lba = 8_388_613  # block 5 of segment 1
+        sim.run(until=replayer.replay([TraceEntry(at=0.0, kind="write", lba=lba)]))
+        (header,) = tap.headers
+        resolved = AddressMapper().resolve(lba)
+        assert header["block_id"] == lba
+        assert header["chunk_id"] == resolved.chunk_id
+        assert header["segment_id"] == resolved.segment_id == 1
+
+    def test_shed_writes_are_failures_not_served_writes(self):
+        """A tier with one admission credit serves one of 16 simultaneous
+        writes and sheds the rest; the replay must report the 15 sheds."""
+        platform = dataclasses.replace(
+            PlatformSpec(),
+            admission=AdmissionSpec(
+                enabled=True, initial_credits=1, min_credits=1, max_credits=1
+            ),
+        )
+        sim = Simulator()
+        testbed = Testbed(sim, platform)
+        tier = CpuOnlyMiddleTier(sim, testbed, n_workers=2)
+        replayer = TraceReplayer(sim, tier, WriteRequestFactory(platform, seed=1))
+        trace = [TraceEntry(at=0.0, kind="write", lba=i) for i in range(16)]
+        result = sim.run(until=replayer.replay(trace))
+        assert tier.requests_completed.value == 1
+        assert result.write.requests == 16
+        assert result.write.ok_requests == 1
+        assert sorted(result.write.failed_lbas) == list(range(1, 16))
+        assert {status for _lba, status in result.write.failures} == {"shed"}
+        assert result.write.latency.count == 1

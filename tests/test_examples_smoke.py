@@ -1,8 +1,8 @@
 """Smoke tests: the fast examples must run end to end.
 
-The heavyweight sweep examples (compare/multiport/interference) are
-exercised through the benchmark harness; these are the functional ones
-that finish in about a second each.
+These are the functional examples, which finish in about a second
+each. The slower sweep examples (compare_middle_tiers, multiport_scaling,
+interference_isolation) run in CI's ``sweep-examples`` job instead.
 """
 
 import importlib.util

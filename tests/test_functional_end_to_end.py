@@ -66,11 +66,8 @@ class TestWritePathCarriesRealBytes:
 
         def reader():
             for lba in (0, 5, len(corpus_blocks) - 1):
-                read = factory.make_read(lba)
-                event = sim.event()
-                driver._reply_events[read.request_id] = event
-                yield driver.qp.send(read)
-                replies.append((lba, (yield event)))
+                reply = yield from driver.request(factory.make_read(lba))
+                replies.append((lba, reply))
 
         sim.process(reader())
         sim.run()

@@ -46,13 +46,7 @@ class TestLsmCompaction:
         def writer():
             tier.start()
             for i in range(20):
-                message = factory.make()
-                message.header["block_id"] = i % 5
-                message.header["chunk_id"] = 0
-                event = sim.event()
-                driver._reply_events[message.request_id] = event
-                yield driver.qp.send(message)
-                yield event
+                yield from driver.request(factory.make(i % 5))
 
         sim.process(writer())
         sim.run(until=msec(20))

@@ -176,12 +176,7 @@ class TestReadPath:
         replies = []
 
         def reader():
-            read = factory.make_read(lba=3)
-            event = sim.event()
-            driver._reply_events[read.request_id] = event
-            yield driver.qp.send(read)
-            reply = yield event
-            replies.append(reply)
+            replies.append((yield from driver.request(factory.make_read(lba=3))))
 
         sim.process(reader())
         sim.run()
@@ -200,11 +195,7 @@ class TestReadPath:
         replies = []
 
         def reader():
-            read = factory.make_read(lba=999_999)
-            event = sim.event()
-            driver._reply_events[read.request_id] = event
-            yield driver.qp.send(read)
-            replies.append((yield event))
+            replies.append((yield from driver.request(factory.make_read(lba=999_999))))
 
         sim.process(reader())
         sim.run()

@@ -6,20 +6,31 @@
   (``REPRO_DRAIN_AUDIT``, ``REPRO_FAULT_SEED``).
 - No module imports ``benchmarks``: the benchmarks drive the library,
   never the other way round.
+- One request issuer: ``RequestClient`` (``repro/workloads/generators.py``)
+  is the only place that matches replies to requests. No other module
+  under ``src/repro``, ``tests`` or ``examples`` touches its
+  ``_reply_events``, and no other module in ``repro.workloads`` or
+  ``repro.compute`` opens a port or endpoint or runs a reply loop.
 """
 
 import ast
 import pathlib
+
+import pytest
 
 import repro
 
 _ENV_NAMES = {"environ", "environb", "getenv", "getenvb"}
 
 
-def _modules() -> list[tuple[pathlib.Path, ast.Module]]:
-    package = pathlib.Path(repro.__file__).parent
-    paths = sorted(package.rglob("*.py"))
-    assert paths, f"no modules found under {package}"
+_PACKAGE = pathlib.Path(repro.__file__).parent
+_REPO = _PACKAGE.parent.parent
+_REQUEST_ISSUER = _PACKAGE / "workloads" / "generators.py"
+
+
+def _modules(*roots: pathlib.Path) -> list[tuple[pathlib.Path, ast.Module]]:
+    paths = sorted(path for root in roots or (_PACKAGE,) for path in root.rglob("*.py"))
+    assert paths, f"no modules found under {roots or _PACKAGE}"
     return [(path, ast.parse(path.read_text(), filename=str(path))) for path in paths]
 
 
@@ -63,3 +74,33 @@ def test_no_module_under_src_repro_reads_the_environment():
 def test_no_module_under_src_repro_imports_benchmarks():
     offenders = [hit for path, tree in _modules() for hit in _benchmark_imports(path, tree)]
     assert not offenders, "src/repro imports benchmarks:\n  " + "\n  ".join(offenders)
+
+
+def _references(path: pathlib.Path, tree: ast.Module, names: set[str]) -> list[str]:
+    """Every attribute (``x.name``) or bare name in `names` the module uses."""
+    return [
+        f"{path}:{node.lineno}: {name}"
+        for node in ast.walk(tree)
+        if (name := getattr(node, "attr", getattr(node, "id", None))) in names
+    ]
+
+
+@pytest.mark.parametrize(
+    "roots,names",
+    [
+        # Reply matching: no hand-made round trip anywhere.
+        (("src/repro", "tests", "examples"), {"_reply_events"}),
+        # Transport set-up and reply loops of the request issuers.
+        (("src/repro/workloads", "src/repro/compute"), {"NetworkPort", "RoceEndpoint", "recv"}),
+    ],
+    ids=["reply-matching", "transport"],
+)
+def test_only_the_request_client_issues_requests(roots, names):
+    modules = _modules(*(_REPO / root for root in roots))
+    offenders = [
+        hit
+        for path, tree in modules
+        if path != _REQUEST_ISSUER
+        for hit in _references(path, tree, names)
+    ]
+    assert not offenders, "outside RequestClient:\n  " + "\n  ".join(offenders)
