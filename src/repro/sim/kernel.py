@@ -106,7 +106,7 @@ class Simulator:
 
     @property
     def steps(self) -> int:
-        """Number of events processed so far (the perf harness reads this)."""
+        """Number of events processed so far."""
         return self._steps
 
     @property

@@ -9,7 +9,6 @@ matching how tail latency is usually reported.
 from __future__ import annotations
 
 import math
-import random
 import typing
 
 
@@ -71,66 +70,36 @@ def ratio(numerator: float, denominator: float) -> float:
 class LatencyRecorder:
     """Collects latency samples and reports avg / percentile statistics.
 
-    By default every sample is retained exactly. For long runs where
-    per-sample memory matters, pass ``reservoir=k`` to keep a uniform
-    random sample of at most `k` values (Vitter's Algorithm R, seeded —
-    the same run always keeps the same samples). Count and mean stay
-    exact in reservoir mode; percentiles are estimates over the kept
-    sample.
+    Every sample is retained exactly.
     """
 
-    def __init__(self, name: str = "latency", reservoir: int | None = None, seed: int = 0) -> None:
-        if reservoir is not None and reservoir < 1:
-            raise ValueError(f"reservoir size must be >= 1, got {reservoir!r}")
+    def __init__(self, name: str = "latency") -> None:
         self.name = name
-        self.reservoir = reservoir
-        self._rng = random.Random(seed) if reservoir is not None else None
         self._samples: list[float] = []
         self._sorted: list[float] | None = None
-        self._count = 0
-        self._sum = 0.0
-        self._compensation = 0.0  # Kahan term: mean stays exact in reservoir mode
 
     def record(self, latency: float) -> None:
         """Add one latency sample in seconds."""
         if latency < 0:
             raise ValueError(f"negative latency {latency!r}")
-        self._count += 1
-        # Kahan-compensated sum so reservoir mode matches exact mode's
-        # fsum()-grade mean even when samples are discarded.
-        adjusted = latency - self._compensation
-        total = self._sum + adjusted
-        self._compensation = (total - self._sum) - adjusted
-        self._sum = total
-        if self.reservoir is None or len(self._samples) < self.reservoir:
-            self._samples.append(latency)
-        else:
-            # Algorithm R: the i-th sample replaces a kept one with
-            # probability k/i, giving a uniform sample over all arrivals.
-            slot = typing.cast(random.Random, self._rng).randrange(self._count)
-            if slot < self.reservoir:
-                self._samples[slot] = latency
-            else:
-                return  # not kept; sorted cache still valid
+        self._samples.append(latency)
         self._sorted = None
 
     @property
     def count(self) -> int:
-        """Number of recorded samples (exact, even in reservoir mode)."""
-        return self._count
+        """Number of recorded samples."""
+        return len(self._samples)
 
     @property
     def samples(self) -> tuple[float, ...]:
-        """The retained samples (all of them in exact mode)."""
+        """The recorded samples, in recording order."""
         return tuple(self._samples)
 
     def mean(self) -> float:
-        """Average latency over *all* samples; raises on an empty recorder."""
-        if not self._count:
+        """Average latency; raises on an empty recorder."""
+        if not self._samples:
             raise ValueError(f"no samples recorded in {self.name!r}")
-        if self.reservoir is None:
-            return math.fsum(self._samples) / self._count
-        return self._sum / self._count
+        return math.fsum(self._samples) / len(self._samples)
 
     def percentile(self, fraction: float) -> float:
         """Nearest-rank percentile, e.g. ``percentile(0.99)`` for p99."""

@@ -6,6 +6,14 @@
 - :class:`~repro.workloads.generators.ClientDriver` is the closed-loop
   load generator that plays the "one server keeps issuing write
   requests" role of §5.1 and records latency/throughput;
+- :class:`~repro.workloads.generators.OpenLoopDriver` is the one
+  open-loop issuer: requests arrive on a schedule regardless of
+  completions, either Poisson writes at an offered rate (``run``) or a
+  trace of reads and writes at its timestamps (``replay``), and a read
+  waits for the client's in-flight write to its LBA;
+- :mod:`~repro.workloads.traces` holds the trace format
+  (:class:`~repro.workloads.traces.TraceEntry`) and a bursty synthetic
+  trace generator;
 - :class:`~repro.workloads.generators.SkewedReadFactory` draws reads
   from a Zipf distribution over the written LBA range (hot-block cache
   experiments);

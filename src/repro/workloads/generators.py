@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import bisect
 import dataclasses
+import functools
 import itertools
 import random
 import typing
@@ -20,6 +21,8 @@ from repro.telemetry.spans import outcome_of
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.middletier.base import MiddleTierServer
     from repro.sim.kernel import Simulator
+    from repro.sim.process import Process
+    from repro.workloads.traces import TraceEntry
 
 
 class WriteRequestFactory:
@@ -179,8 +182,8 @@ class SkewedReadFactory:
         return self.factory.make_read(self.next_lba())
 
 
-#: One answered request: ``(start, end, payload bytes, status, lba)``.
-Sample = tuple[float, float, int, str, int]
+#: One answered request: ``(start, end, payload bytes, status, lba, is_read)``.
+Sample = tuple[float, float, int, str, int, bool]
 
 
 @dataclasses.dataclass
@@ -198,10 +201,7 @@ class DriverResult:
 
     @classmethod
     def from_samples(
-        cls,
-        samples: typing.Sequence[Sample],
-        warmup_fraction: float = 0.0,
-        failed_latency: bool = False,
+        cls, samples: typing.Sequence[Sample], warmup_fraction: float = 0.0
     ) -> "DriverResult":
         """Fold answered requests into a result: the one sample fold.
 
@@ -209,10 +209,10 @@ class DriverResult:
         `warmup_fraction` of them dropped. Payload bytes cover ``ok``
         requests only, so :attr:`throughput` is goodput, and every
         non-``ok`` request lands in :attr:`failures`. Latency covers
-        ``ok`` requests too — a shed reply returns in microseconds and
-        would otherwise *improve* the tail while goodput collapses —
-        unless `failed_latency`, which also counts how long a failed
-        request waited for its answer.
+        ``ok`` requests and failed reads. A failed write stays out — a
+        shed reply returns in microseconds and would otherwise *improve*
+        the tail while goodput collapses — but how long a client waits
+        to learn a block is ``unavailable`` is part of the read tail.
         """
         if not samples:
             raise RuntimeError("driver has no completed requests")
@@ -222,13 +222,13 @@ class DriverResult:
         latency = LatencyRecorder("client-latency")
         payload_bytes = 0
         failures: list[tuple[int, str]] = []
-        for start, end, size, status, lba in measured:
+        for start, end, size, status, lba, is_read in measured:
             if status == "ok":
                 latency.record(end - start)
                 payload_bytes += size
             else:
                 failures.append((lba, status))
-                if failed_latency:
+                if is_read:
                     latency.record(end - start)
         return cls(
             requests=len(measured),
@@ -334,8 +334,9 @@ class RequestClient:
                 status=status,
             )
         # Writes carry the payload out; reads carry it back.
-        size = message.payload_size if message.kind == "write_request" else reply.payload_size
-        samples.append((start, self.sim.now, size, status, lba))
+        is_read = message.kind != "write_request"
+        size = reply.payload_size if is_read else message.payload_size
+        samples.append((start, self.sim.now, size, status, lba, is_read))
 
     def _send(self, message: Message, root: typing.Any) -> typing.Generator:
         """Deliver `message`; returns ``(reply, attempts)``."""
@@ -388,26 +389,31 @@ class RequestClient:
             yield from self._request(message, samples)
 
     def _collect(
-        self,
-        streams: list,
-        samples: list[Sample],
-        warmup_fraction: float,
-        failed_latency: bool = False,
+        self, streams: list, samples: list[Sample], warmup_fraction: float
     ) -> typing.Generator:
         yield self.sim.all_of(streams)
-        return DriverResult.from_samples(samples, warmup_fraction, failed_latency)
+        return DriverResult.from_samples(samples, warmup_fraction)
 
     def result(self) -> DriverResult:
         """Statistics over the measured (post-warm-up) portion of the run."""
         return DriverResult.from_samples(self._samples, self.warmup_fraction)
 
 
-class OpenLoopDriver(RequestClient):
-    """Open-loop (Poisson) load generator.
+#: An arrival schedule: ``(delay, build)`` pairs. The issuer waits
+#: `delay` seconds after the previous arrival, then sends ``build()``.
+Schedule = typing.Iterator[tuple[float, typing.Callable[[], Message]]]
 
-    Issues write requests at a fixed offered rate with exponential
-    inter-arrival times, regardless of completions — the right tool for
-    latency-vs-load curves, where closed-loop generators hide queueing.
+
+class OpenLoopDriver(RequestClient):
+    """Open-loop load generator: requests arrive on a schedule,
+    regardless of completions.
+
+    :meth:`run` offers Poisson writes at `offered_rate` — the right tool
+    for latency-vs-load curves, where closed-loop generators hide
+    queueing — and :meth:`replay` sends a trace at its timestamps. A
+    read of an LBA this client has a write in flight to is sent only
+    after that write's reply (read-your-writes); its latency runs from
+    the send.
     """
 
     def __init__(
@@ -415,13 +421,13 @@ class OpenLoopDriver(RequestClient):
         sim: "Simulator",
         tier: "MiddleTierServer",
         factory: WriteRequestFactory,
-        offered_rate: float,
+        offered_rate: float | None = None,
         port_index: int = 0,
         address: str | None = None,
         warmup_fraction: float = 0.1,
         seed: int = 0,
     ) -> None:
-        if offered_rate <= 0:
+        if offered_rate is not None and offered_rate <= 0:
             raise ValueError(f"offered rate must be positive, got {offered_rate!r}")
         super().__init__(
             sim,
@@ -430,27 +436,78 @@ class OpenLoopDriver(RequestClient):
             factory,
             warmup_fraction,
         )
-        self.offered_rate = offered_rate  # requests/second
+        self.offered_rate = offered_rate  # requests/second, for run()
         self._rng = random.Random(seed)
+        #: LBA -> the latest write this client sent to it, until its run
+        #: ends; a read of the LBA waits on it while it is alive.
+        self._writes: dict[int, "Process"] = {}
         self.tier = tier
         self.qp = self._connect(tier, port_index)
 
     def run(self, n_requests: int) -> typing.Any:
-        """Offer `n_requests` at the configured rate; returns a process
-        that fires with a :class:`DriverResult` once all complete."""
+        """Offer `n_requests` writes at the configured rate; returns a
+        process that fires with a :class:`DriverResult` once all complete."""
+        if self.offered_rate is None:
+            raise ValueError("run() needs an offered_rate")
         if n_requests < 1:
             raise ValueError("need at least one request")
-        self.tier.start()
-        return self.sim.process(self._run(n_requests), name=f"{self.address}.run")
+        return self._start(self._poisson(n_requests), "run")
 
-    def _run(self, n_requests: int) -> typing.Generator:
-        outstanding = []
+    def replay(self, trace: typing.Sequence["TraceEntry"]) -> typing.Any:
+        """Send `trace`'s requests at its timestamps (seconds from now);
+        returns a process that fires with a :class:`DriverResult` once
+        the last request completes."""
+        if not trace:
+            raise ValueError("empty trace")
+        return self._start(self._replayed(trace), "replay")
+
+    def _start(self, schedule: Schedule, what: str) -> typing.Any:
+        self.tier.start()
+        return self.sim.process(self._issue(schedule), name=f"{self.address}.{what}")
+
+    def _poisson(self, n_requests: int) -> Schedule:
+        rng, rate, make = self._rng, self.offered_rate, self.factory.make
         for _ in range(n_requests):
-            yield self.sim.timeout(self._rng.expovariate(self.offered_rate))
-            request = self._request(self.factory.make(), self._samples)
-            outstanding.append(self.sim.process(request))
+            yield rng.expovariate(rate), make
+
+    def _replayed(self, trace: typing.Sequence["TraceEntry"]) -> Schedule:
+        start = self.sim.now
+        for entry in trace:
+            yield start + entry.at - self.sim.now, functools.partial(self._traced, entry)
+
+    def _traced(self, entry: "TraceEntry") -> Message:
+        if entry.kind == "read":
+            return self.factory.make_read(entry.lba)
+        message = self.factory.make(entry.lba)
+        message.header["latency_sensitive"] = entry.latency_sensitive
+        return message
+
+    def _issue(self, schedule: Schedule) -> typing.Generator:
+        writes = self._writes
+        outstanding = []
+        for delay, build in schedule:
+            if delay > 0:
+                yield self.sim.timeout(delay)
+            message = build()
+            lba = message.header["block_id"]
+            request = self._request(message, self._samples)
+            if message.kind == "write_request":
+                writes[lba] = process = self.sim.process(request)
+            else:
+                write = writes.get(lba)
+                if write is not None and write.is_alive:
+                    request = self._after(write, request)
+                process = self.sim.process(request)
+            outstanding.append(process)
         yield self.sim.all_of(outstanding)
+        for lba in [lba for lba, write in writes.items() if not write.is_alive]:
+            del writes[lba]
         return self.result()
+
+    @staticmethod
+    def _after(write: "Process", request: typing.Generator) -> typing.Generator:
+        yield write
+        yield from request
 
 
 class ClientDriver(RequestClient):
@@ -506,16 +563,14 @@ class ClientDriver(RequestClient):
         Per-read failures are *surfaced*, not folded away: a reply with
         ``status != "ok"`` (``unavailable`` after exhausted fail-over,
         ``not_found``) lands in :attr:`DriverResult.failures` with its
-        LBA, so callers can tell which reads the aggregate hides. Unlike
-        every other run, failed reads also count in ``latency``: how
-        long a client waits to learn a block is ``unavailable`` is part
-        of the read tail.
+        LBA, so callers can tell which reads the aggregate hides, and
+        its wait counts in ``latency`` like every failed read.
         """
         batches = self._reads(lbas, concurrency or self.concurrency)
         self.tier.start()
         samples: list[Sample] = []
         streams = self._spawn_streams(batches, samples)
         return self.sim.process(
-            self._collect(streams, samples, 0.0, failed_latency=True),
+            self._collect(streams, samples, 0.0),
             name=f"{self.address}.reads",
         )

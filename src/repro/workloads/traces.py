@@ -1,27 +1,20 @@
-"""Synthetic block-I/O traces and a replay driver.
+"""Synthetic block-I/O traces: the format and a bursty generator.
 
 Clouds do not see smooth closed-loop load; they see bursty, diurnal
-request streams. This module generates deterministic synthetic traces —
-Poisson baseline with on/off bursts, mixed read/write, mixed latency
-sensitivity — and replays them against any middle-tier design with the
-timestamps the trace dictates (open loop).
+request streams. :func:`generate_trace` builds deterministic synthetic
+traces — Poisson baseline with on/off bursts, mixed read/write, mixed
+latency sensitivity. A trace is just a list of :class:`TraceEntry`;
+bring your own if you have one.
 
-A trace is just a list of :class:`TraceEntry`; bring your own if you
-have one.
+:meth:`repro.workloads.generators.OpenLoopDriver.replay` sends a trace
+against any middle-tier design at the timestamps it records (open
+loop); a read waits for the client's in-flight write to its LBA.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import random
-import typing
-
-from repro.net.message import Message
-from repro.workloads.generators import DriverResult, RequestClient, WriteRequestFactory
-
-if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.middletier.base import MiddleTierServer
-    from repro.sim.kernel import Simulator
 
 
 @dataclasses.dataclass(frozen=True)
@@ -32,6 +25,14 @@ class TraceEntry:
     kind: str  # "write" or "read"
     lba: int
     latency_sensitive: bool = False
+
+    def __post_init__(self) -> None:
+        if self.kind not in ("write", "read"):
+            raise ValueError(f"unknown trace entry kind {self.kind!r}")
+        if self.at < 0:
+            raise ValueError(f"trace entry arrives before the trace starts: at={self.at!r}")
+        if self.lba < 0:
+            raise ValueError(f"negative LBA {self.lba!r}")
 
 
 def generate_trace(
@@ -86,70 +87,3 @@ def generate_trace(
                 )
             )
     return entries
-
-
-@dataclasses.dataclass
-class TraceReplayResult:
-    """What a replay measured, split by request kind.
-
-    `write` and `read` are the usual driver folds of each kind's
-    requests (``None`` when the trace has none of that kind): a write
-    that was shed or failed lands in ``write.failures`` and not in its
-    latency, while failed reads (misses) stay in ``read.latency`` as in
-    :meth:`~repro.workloads.generators.ClientDriver.run_reads`.
-    """
-
-    write: DriverResult | None
-    read: DriverResult | None
-    #: From the replay's start to its last completion.
-    duration: float
-
-
-class TraceReplayer(RequestClient):
-    """Replays a trace against a middle tier at its recorded timestamps."""
-
-    def __init__(
-        self,
-        sim: "Simulator",
-        tier: "MiddleTierServer",
-        factory: WriteRequestFactory,
-        port_index: int = 0,
-    ) -> None:
-        super().__init__(sim, tier.platform.network, "trace-client", factory)
-        self.tier = tier
-        self.qp = self._connect(tier, port_index)
-
-    def replay(self, trace: typing.Sequence[TraceEntry]) -> typing.Any:
-        """Replay `trace`; returns a process firing with a
-        :class:`TraceReplayResult` when the last request completes."""
-        if not trace:
-            raise ValueError("empty trace")
-        self.tier.start()
-        return self.sim.process(self._replay(list(trace)), name="trace.replay")
-
-    def _replay(self, trace: list[TraceEntry]) -> typing.Generator:
-        start = self.sim.now
-        samples: dict[str, list] = {"write": [], "read": []}
-        outstanding = []
-        for entry in trace:
-            wait = start + entry.at - self.sim.now
-            if wait > 0:
-                yield self.sim.timeout(wait)
-            message = self._message(entry)
-            outstanding.append(self.sim.process(self._request(message, samples[entry.kind])))
-        yield self.sim.all_of(outstanding)
-        writes, reads = samples["write"], samples["read"]
-        return TraceReplayResult(
-            write=DriverResult.from_samples(writes) if writes else None,
-            read=DriverResult.from_samples(reads, failed_latency=True) if reads else None,
-            duration=self.sim.now - start,
-        )
-
-    def _message(self, entry: TraceEntry) -> Message:
-        if entry.kind == "write":
-            message = self.factory.make(entry.lba)
-            message.header["latency_sensitive"] = entry.latency_sensitive
-            return message
-        if entry.kind == "read":
-            return self.factory.make_read(entry.lba)
-        raise ValueError(f"unknown trace entry kind {entry.kind!r}")

@@ -12,8 +12,8 @@ from repro.sim import Simulator
 from repro.telemetry.charts import bar_chart, line_chart
 from repro.telemetry.reporting import Series
 from repro.units import msec, usec
-from repro.workloads import WriteRequestFactory
-from repro.workloads.traces import TraceEntry, TraceReplayer, generate_trace
+from repro.workloads import OpenLoopDriver, WriteRequestFactory
+from repro.workloads.traces import TraceEntry, generate_trace
 
 
 class TestLineChart:
@@ -132,65 +132,100 @@ class TestTraceGeneration:
             generate_trace(duration=1, base_rate=1000, read_fraction=1.0)
 
 
+class Tap(Datapath):
+    """Records when the client sends each request and gets each reply."""
+
+    def __init__(self, sim):
+        self.sim = sim
+        self.sent = []  # (time, request id, header) per request sent
+        self.replied = {}  # request id -> reply arrival time
+
+    def egress(self, message, qp):
+        self.sent.append((self.sim.now, message.request_id, dict(message.header)))
+        return
+        yield  # pragma: no cover - generator form
+
+    def ingress(self, message, qp):
+        self.replied[message.header["in_reply_to"]] = self.sim.now
+        return False
+        yield  # pragma: no cover - generator form
+
+
+def _replayer(sim, platform=PlatformSpec(), n_workers=8):
+    tier = CpuOnlyMiddleTier(sim, Testbed(sim, platform), n_workers=n_workers)
+    return OpenLoopDriver(sim, tier, WriteRequestFactory(platform, seed=1), warmup_fraction=0.0)
+
+
+class TestTraceEntry:
+    @pytest.mark.parametrize(
+        "at, kind, lba", [(0.0, "trim", 1), (-1e-6, "write", 1), (0.0, "read", -1)]
+    )
+    def test_bad_entry_rejected_when_built(self, at, kind, lba):
+        with pytest.raises(ValueError):
+            TraceEntry(at=at, kind=kind, lba=lba)
+
+
 class TestTraceReplay:
     def test_replay_serves_whole_trace(self):
+        """Reads wait for their in-flight writes, so none misses."""
         sim = Simulator()
-        testbed = Testbed(sim)
-        tier = CpuOnlyMiddleTier(sim, testbed, n_workers=8)
-        factory = WriteRequestFactory(testbed.platform, seed=1)
-        replayer = TraceReplayer(sim, tier, factory)
+        driver = _replayer(sim)
         trace = generate_trace(
             duration=msec(2), base_rate=100_000, read_fraction=0.2, seed=6
         )
-        result = sim.run(until=replayer.replay(trace))
-        assert result.write.requests + result.read.requests == len(trace)
-        assert result.write.requests > 0 and result.read.requests > 0
-        assert result.write.failures == ()
-        assert result.write.latency.count == result.write.requests
-        assert result.read.latency.count == result.read.requests
+        assert {entry.kind for entry in trace} == {"read", "write"}
+        result = sim.run(until=driver.replay(trace))
+        assert result.requests == len(trace)
+        assert result.failures == ()
+        assert result.latency.count == result.requests
+        assert driver.replies_unmatched.value == 0
 
     def test_replay_paces_arrivals(self):
-        """The replay must take at least the trace's span of time."""
+        """Each request leaves at its trace time, measured from the start."""
         sim = Simulator()
-        testbed = Testbed(sim)
-        tier = CpuOnlyMiddleTier(sim, testbed, n_workers=8)
-        factory = WriteRequestFactory(testbed.platform, seed=1)
-        replayer = TraceReplayer(sim, tier, factory)
+        driver = _replayer(sim)
+        tap = driver.endpoint.datapath = Tap(sim)
+        sim.run(until=usec(5))
         trace = [TraceEntry(at=i * 0.0001, kind="write", lba=i) for i in range(10)]
-        result = sim.run(until=replayer.replay(trace))
-        assert result.duration >= 9 * 0.0001
-        assert result.read is None  # a write-only trace still has a result
-        assert result.write.requests == 10
+        start = sim.now
+        done = driver.replay(trace)
+        sim.run(until=done)
+        sent = [when - start for when, _id, _header in tap.sent]
+        assert sent == pytest.approx([entry.at for entry in trace], abs=1e-12)
+        assert sim.now >= start + trace[-1].at
+        assert done.value.requests == 10  # a write-only trace still folds
+
+    def test_read_waits_for_its_in_flight_write(self):
+        sim = Simulator()
+        driver = _replayer(sim)
+        tap = driver.endpoint.datapath = Tap(sim)
+        trace = [
+            TraceEntry(at=0.0, kind="write", lba=7),
+            TraceEntry(at=usec(1), kind="read", lba=7),
+            TraceEntry(at=usec(1), kind="read", lba=8),  # no write to wait on
+        ]
+        result = sim.run(until=driver.replay(trace))
+        assert result.failures == ((8, "not_found"),)
+        (_, write_id, write), (miss_sent, _, miss), (read_sent, _, read) = tap.sent
+        assert (write["block_id"], miss["block_id"], read["block_id"]) == (7, 8, 7)
+        assert miss_sent == pytest.approx(usec(1))
+        assert usec(1) < tap.replied[write_id] <= read_sent
 
     def test_empty_trace_rejected(self):
         sim = Simulator()
-        testbed = Testbed(sim)
-        tier = CpuOnlyMiddleTier(sim, testbed, n_workers=2)
-        replayer = TraceReplayer(sim, tier, WriteRequestFactory(testbed.platform))
+        driver = _replayer(sim, n_workers=2)
         with pytest.raises(ValueError):
-            replayer.replay([])
+            driver.replay([])
 
     def test_replayed_write_carries_its_own_lbas_segment(self):
         """A trace write's header names the segment of the LBA it writes,
         not of the factory's next sequential LBA."""
-
-        class HeaderTap(Datapath):
-            def __init__(self):
-                self.headers = []
-
-            def egress(self, message, qp):
-                self.headers.append(dict(message.header))
-                return
-                yield  # pragma: no cover - generator form
-
         sim = Simulator()
-        testbed = Testbed(sim)
-        tier = CpuOnlyMiddleTier(sim, testbed, n_workers=2)
-        replayer = TraceReplayer(sim, tier, WriteRequestFactory(testbed.platform, seed=1))
-        tap = replayer.endpoint.datapath = HeaderTap()
+        driver = _replayer(sim, n_workers=2)
+        tap = driver.endpoint.datapath = Tap(sim)
         lba = 8_388_613  # block 5 of segment 1
-        sim.run(until=replayer.replay([TraceEntry(at=0.0, kind="write", lba=lba)]))
-        (header,) = tap.headers
+        sim.run(until=driver.replay([TraceEntry(at=0.0, kind="write", lba=lba)]))
+        ((_when, _id, header),) = tap.sent
         resolved = AddressMapper().resolve(lba)
         assert header["block_id"] == lba
         assert header["chunk_id"] == resolved.chunk_id
@@ -206,14 +241,12 @@ class TestTraceReplay:
             ),
         )
         sim = Simulator()
-        testbed = Testbed(sim, platform)
-        tier = CpuOnlyMiddleTier(sim, testbed, n_workers=2)
-        replayer = TraceReplayer(sim, tier, WriteRequestFactory(platform, seed=1))
+        driver = _replayer(sim, platform, n_workers=2)
         trace = [TraceEntry(at=0.0, kind="write", lba=i) for i in range(16)]
-        result = sim.run(until=replayer.replay(trace))
-        assert tier.requests_completed.value == 1
-        assert result.write.requests == 16
-        assert result.write.ok_requests == 1
-        assert sorted(result.write.failed_lbas) == list(range(1, 16))
-        assert {status for _lba, status in result.write.failures} == {"shed"}
-        assert result.write.latency.count == 1
+        result = sim.run(until=driver.replay(trace))
+        assert driver.tier.requests_completed.value == 1
+        assert result.requests == 16
+        assert result.ok_requests == 1
+        assert sorted(result.failed_lbas) == list(range(1, 16))
+        assert {status for _lba, status in result.failures} == {"shed"}
+        assert result.latency.count == 1

@@ -5,12 +5,19 @@ import dataclasses
 
 import pytest
 
+from repro.cluster import ShardedCluster
 from repro.core import SmartDsMiddleTier
 from repro.middletier import CpuOnlyMiddleTier, Testbed
 from repro.params import DEFAULT_PLATFORM, AdmissionSpec
 from repro.sim import Simulator
 from repro.units import msec
-from repro.workloads import ClientDriver, DriverResult, OpenLoopDriver, WriteRequestFactory
+from repro.workloads import (
+    ClientDriver,
+    DriverResult,
+    OpenLoopDriver,
+    RoutingClient,
+    WriteRequestFactory,
+)
 
 
 def _shedding_tier(sim):
@@ -30,11 +37,11 @@ def _shedding_tier(sim):
 
 class TestFold:
     SAMPLES = [
-        # (start, end, payload bytes, status, lba)
-        (0.0, 3.0, 4096, "ok", 1),
-        (0.0, 1.0, 0, "shed", 2),
-        (1.0, 4.0, 4096, "ok", 3),
-        (2.0, 2.5, 0, "unavailable", 4),
+        # (start, end, payload bytes, status, lba, is_read)
+        (0.0, 3.0, 4096, "ok", 1, False),
+        (0.0, 1.0, 0, "shed", 2, False),
+        (1.0, 4.0, 4096, "ok", 3, False),
+        (2.0, 2.5, 0, "unavailable", 4, False),
     ]
 
     def test_goodput_only_by_default(self):
@@ -48,10 +55,12 @@ class TestFold:
         assert result.ok_requests == 2
         assert result.duration == pytest.approx(3.0)
 
-    def test_failed_latency_counts_every_answer(self):
-        result = DriverResult.from_samples(self.SAMPLES, failed_latency=True)
+    def test_failed_reads_count_in_latency(self):
+        # The last two answers are reads: the failed one's wait counts.
+        samples = self.SAMPLES[:2] + [sample[:5] + (True,) for sample in self.SAMPLES[2:]]
+        result = DriverResult.from_samples(samples)
         assert result.payload_bytes == 2 * 4096
-        assert result.latency.count == 4
+        assert sorted(result.latency.samples) == [0.5, 3.0, 3.0]
         assert result.failures == ((2, "shed"), (4, "unavailable"))
 
     def test_warmup_drops_the_earliest_completions(self):
@@ -82,6 +91,24 @@ class TestClosedLoopWritesSurfaceFailures:
         assert result.payload_bytes == result.ok_requests * 4096
         assert result.latency.count == result.ok_requests
         assert driver.replies_unmatched.value == 0
+
+
+class TestReadsFoldAlike:
+    @pytest.mark.parametrize("routed", [False, True], ids=["closed-loop", "one-shard-routed"])
+    def test_a_missed_read_counts_in_latency(self, routed):
+        # A 1-shard RoutingClient must fold its reads as ClientDriver does.
+        sim = Simulator()
+        factory = WriteRequestFactory(DEFAULT_PLATFORM, seed=5)
+        if routed:
+            cluster = ShardedCluster(sim, DEFAULT_PLATFORM, design="CPU-only", n_workers=2)
+            client = RoutingClient(sim, cluster, factory, concurrency=2, warmup_fraction=0.0)
+        else:
+            tier = CpuOnlyMiddleTier(sim, Testbed(sim), n_workers=2)
+            client = ClientDriver(sim, tier, factory, concurrency=2, warmup_fraction=0.0)
+        sim.run(until=client.run(8))
+        result = sim.run(until=client.run_reads([0, 999], concurrency=1))
+        assert result.failures == ((999, "not_found"),)  # LBA 999 was never written
+        assert result.latency.count == 2
 
 
 class TestOpenLoopReplyMatching:

@@ -14,6 +14,9 @@ event, and a process whose only waiters are conditions completes into
 them without a completion event; the write run checks that neither
 kind of event is dispatched once the run is under way.
 
+A write-only open-loop run pins the open-loop issuer's count: its
+read-your-writes bookkeeping is a dict entry per write, not an event.
+
 Event counts are deterministic for a seed, so the budgets are exact. A
 change that moves one on purpose re-records it here and says why.
 
@@ -41,13 +44,17 @@ from repro.sim import Simulator, Tracer
 from repro.sim.events import _Condition
 from repro.sim.process import Process
 from repro.units import kib
-from repro.workloads import ClientDriver, WriteRequestFactory
+from repro.workloads import ClientDriver, OpenLoopDriver, WriteRequestFactory
 
 #: Exact kernel events of each measured phase (see the module docstring).
 WRITE_REQUESTS = 64
 WRITE_EVENTS = 5181
 READ_REQUESTS = 64
 READ_EVENTS = 2151
+
+#: Exact kernel events of a write-only open-loop run.
+OPEN_LOOP_WRITES = 64
+OPEN_LOOP_EVENTS = 5234
 
 #: Functional-mode writes cycling through this many corpus blocks.
 CORPUS_WRITES = 64
@@ -209,6 +216,17 @@ class TestEventBudget:
         sim.run(until=done)
         assert (watch.starts, watch.late_starts) == (created_before, 0)
         assert watch.condition_joins == 0
+
+    def test_open_loop_write_events(self):
+        sim = Simulator()
+        driver = OpenLoopDriver(
+            sim, _tier(sim), WriteRequestFactory(DEFAULT_PLATFORM, seed=1),
+            offered_rate=400_000, warmup_fraction=0.0, seed=1,
+        )
+        before = sim.steps
+        result = sim.run(until=driver.run(OPEN_LOOP_WRITES))
+        assert result.failures == ()
+        assert (result.requests, sim.steps - before) == (OPEN_LOOP_WRITES, OPEN_LOOP_EVENTS)
 
     def test_cached_read_events_per_request(self):
         requests, events, _ = cached_read_run()

@@ -68,6 +68,8 @@ class TestOpenLoopDriver:
         driver = OpenLoopDriver(sim, tier, factory, offered_rate=1000.0)
         with pytest.raises(ValueError):
             driver.run(0)
+        with pytest.raises(ValueError, match="offered_rate"):
+            OpenLoopDriver(sim, tier, factory).run(1)
 
 
 class TestBlueField3:

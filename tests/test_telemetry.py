@@ -79,53 +79,6 @@ class TestLatencyRecorder:
             recorder.percentile(1.5)
 
 
-class TestLatencyRecorderReservoir:
-    def test_count_and_mean_stay_exact(self):
-        exact = LatencyRecorder()
-        sampled = LatencyRecorder(reservoir=32, seed=1)
-        values = [usec(1) * (i % 97 + 1) for i in range(10_000)]
-        for value in values:
-            exact.record(value)
-            sampled.record(value)
-        assert sampled.count == 10_000
-        assert len(sampled.samples) == 32
-        assert sampled.mean() == pytest.approx(exact.mean(), rel=1e-12)
-
-    def test_same_seed_keeps_same_samples(self):
-        a = LatencyRecorder(reservoir=16, seed=7)
-        b = LatencyRecorder(reservoir=16, seed=7)
-        for i in range(5_000):
-            a.record(float(i))
-            b.record(float(i))
-        assert a.samples == b.samples
-
-    def test_different_seed_keeps_different_samples(self):
-        a = LatencyRecorder(reservoir=16, seed=7)
-        b = LatencyRecorder(reservoir=16, seed=8)
-        for i in range(5_000):
-            a.record(float(i))
-            b.record(float(i))
-        assert a.samples != b.samples
-
-    def test_percentiles_estimate_over_kept_sample(self):
-        recorder = LatencyRecorder(reservoir=256, seed=3)
-        for i in range(1, 10_001):
-            recorder.record(float(i))
-        # Uniform 1..10000: the reservoir median lands near 5000.
-        assert 3000.0 <= recorder.percentile(0.5) <= 7000.0
-
-    def test_below_capacity_is_exact(self):
-        recorder = LatencyRecorder(reservoir=100, seed=0)
-        for value in [1.0, 2.0, 3.0]:
-            recorder.record(value)
-        assert recorder.samples == (1.0, 2.0, 3.0)
-        assert recorder.percentile(0.5) == 2.0
-
-    def test_invalid_reservoir_rejected(self):
-        with pytest.raises(ValueError):
-            LatencyRecorder(reservoir=0)
-
-
 class TestBandwidthMeter:
     def test_rate_over_event_span(self):
         meter = BandwidthMeter()
