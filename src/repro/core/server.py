@@ -19,6 +19,7 @@ on the port its request arrived on.
 
 from __future__ import annotations
 
+import functools
 import typing
 
 from repro.core.api import SmartDsApi
@@ -41,6 +42,24 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: Device buffers leave room for LZ4's worst-case expansion on
 #: incompressible blocks.
 _BUFFER_SLACK = 512
+#: Mixed-recv descriptors kept posted on each storage QP that serves reads.
+_REPLY_WINDOW = 8
+
+
+class _RecvWindow(typing.NamedTuple):
+    """One QP's ring of posted mixed-recv descriptors (§4.1, Listing 1).
+
+    Each arriving message with a payload consumes one descriptor; the
+    completion goes to ``handler(message, d_buf)`` and a fresh
+    descriptor replaces it. Client-ingress and storage QPs share the
+    ring and differ only in the handler and in `brownout`: whether
+    brownout rung 2 withholds the window's descriptors.
+    """
+
+    port_index: int
+    qp: QueuePair
+    handler: typing.Callable[[Message, typing.Any], None]
+    brownout: bool
 
 
 class SmartDsMiddleTier(MiddleTierServer):
@@ -49,6 +68,7 @@ class SmartDsMiddleTier(MiddleTierServer):
     design_name = "SmartDS"
     #: control plane stays in host software (the design's raison d'etre).
     flexible = True
+    split_replies = True
 
     def __init__(
         self,
@@ -128,9 +148,10 @@ class SmartDsMiddleTier(MiddleTierServer):
         )
         self.api = SmartDsApi(self.device)
         self._buffer_bytes = self.platform.workload.block_size + _BUFFER_SLACK
-        self._buffers: dict[int, tuple[int, typing.Any, typing.Any]] = {}
-        self._port_links: list[dict[str, tuple[QueuePair, ResponseMatcher]]] = []
-        self._read_matchers: dict[tuple[int, str], _SplitReplyMatcher] = {}
+        self._buffers: dict[int, tuple[int, typing.Any]] = {}
+        self._port_links: list[dict[str, ResponseMatcher]] = []
+        #: Storage links whose QP has its split window posted.
+        self._reply_windows: set[ResponseMatcher] = set()
         self.client_endpoint = self.device.instance(0).endpoint
         self.storage_endpoint = self.client_endpoint
 
@@ -141,17 +162,15 @@ class SmartDsMiddleTier(MiddleTierServer):
 
     def _connect_storage(self) -> None:
         for instance in self.device.instances:
-            links: dict[str, tuple[QueuePair, ResponseMatcher]] = {}
+            links: dict[str, ResponseMatcher] = {}
             for server in self.testbed.storage_servers:
                 qp = server.accept_from(instance.endpoint)
-                links[server.address] = (qp, ResponseMatcher(self.sim, qp))
+                links[server.address] = ResponseMatcher(self.sim, qp)
             self._port_links.append(links)
         # Base-class paths that don't know about ports use port 0.
         self._storage_links = self._port_links[0]
 
-    def _storage_link_for(
-        self, server: "StorageServer", message: Message
-    ) -> tuple[QueuePair, ResponseMatcher]:
+    def _storage_link_for(self, server: "StorageServer", message: Message) -> ResponseMatcher:
         port = message.header.get("arrival_port", 0)
         return self._port_links[port][server.address]
 
@@ -160,8 +179,8 @@ class SmartDsMiddleTier(MiddleTierServer):
         # Keep a window of mixed-recv descriptors posted so the Split
         # module pipelines back-to-back messages (Listing 1's loop, with
         # the descriptor depth a production receive queue would use).
-        for _ in range(self._recv_window):
-            self._post_recv(port_index, qp.peer)
+        handler = functools.partial(self._admit_split, port_index, qp.peer)
+        self._open_window(port_index, qp.peer, handler, self._recv_window, brownout=True)
         # Header-only client messages (read requests) bypass AAMS and land
         # in the software receive queue; drain it like a plain NIC.
         self.sim.process(
@@ -171,85 +190,95 @@ class SmartDsMiddleTier(MiddleTierServer):
         )
         return qp
 
-    def _post_recv(self, port_index: int, qp: QueuePair) -> None:
+    # -- receive windows: one routine for client and storage QPs ---------------
+
+    def _open_window(
+        self, port_index: int, qp: QueuePair, handler: typing.Any, depth: int, brownout: bool
+    ) -> None:
+        window = _RecvWindow(port_index, qp, handler, brownout)
+        for _ in range(depth):
+            self._post_recv(window)
+
+    def _post_recv(self, window: _RecvWindow) -> None:
         """Post one mixed-recv descriptor; its completion reposts another.
 
         Posting goes through the gated allocator: above the high
         watermark the descriptor is *not* posted — the QP is flagged
         starved so ingress degrades to the host path instead of blocking
         on an empty table — and a deferred repost waits for headroom.
-        Brownout rung 2 applies the same degradation deliberately:
-        while the ladder prefers host ingress, descriptors stay unposted
-        and arriving writes take the host path whole.
+        Brownout rung 2 applies the same degradation deliberately on
+        windows that declare it: while the ladder prefers host ingress,
+        descriptors stay unposted and arriving writes take the host path
+        whole.
         """
         api = self.api
-        if self.admission is not None and self.admission.prefer_host_ingress():
-            split = self.device.instance(port_index).split
-            split.mark_starved(qp)
-            self.sim.process(
-                self._brownout_repost(port_index, qp),
-                name=f"{self.address}.recv-brownout{port_index}",
-                daemon=True,
-            )
-            return
-        header_size = self.platform.workload.header_size
-        d_buf = api.dev_try_alloc(self._buffer_bytes)
+        port_index = window.port_index
+        withheld = (
+            window.brownout
+            and self.admission is not None
+            and self.admission.prefer_host_ingress()
+        )
+        d_buf = None if withheld else api.dev_try_alloc(self._buffer_bytes)
         if d_buf is None:
-            split = self.device.instance(port_index).split
-            split.mark_starved(qp)
+            self.device.instance(port_index).split.mark_starved(window.qp)
             self.sim.process(
-                self._deferred_post_recv(port_index, qp),
+                self._deferred_post_recv(window, withheld),
                 name=f"{self.address}.recv-defer{port_index}",
                 daemon=True,
             )
             return
+        header_size = self.platform.workload.header_size
         h_buf = api.host_alloc(header_size)
-        completion = api.dev_mixed_recv(qp, h_buf, header_size, d_buf, self._buffer_bytes)
+        completion = api.dev_mixed_recv(window.qp, h_buf, header_size, d_buf, self._buffer_bytes)
         # Daemon: one of the posted receive-window descriptors; it is
         # expected to still be waiting for a message when the run drains.
         self.sim.process(
-            self._on_recv(port_index, qp, completion, h_buf, d_buf),
+            self._on_recv(window, completion, d_buf),
             name=f"{self.address}.recv{port_index}",
             daemon=True,
         )
 
-    def _deferred_post_recv(self, port_index: int, qp: QueuePair) -> typing.Generator:
-        yield self.device.allocator.headroom_event(self._buffer_bytes)
-        self.device.instance(port_index).split.clear_starved(qp)
-        self._post_recv(port_index, qp)
-
-    def _brownout_repost(self, port_index: int, qp: QueuePair) -> typing.Generator:
-        """Restore a brownout-withheld descriptor once the ladder descends."""
-        while self.admission is not None and self.admission.prefer_host_ingress():
+    def _deferred_post_recv(self, window: _RecvWindow, withheld: bool) -> typing.Generator:
+        """Restore a starved slot once HBM has headroom, or, for a
+        brownout-withheld one, once the ladder descends."""
+        if not withheld:
+            yield self.device.allocator.headroom_event(self._buffer_bytes)
+        while withheld and self.admission.prefer_host_ingress():
             if self.sim.idle:
                 # Idle sim: never hold up a drain-mode run; the window
                 # slot is restored by the next attach in a later phase.
                 return
             yield self.sim.timeout(self.admission.spec.adapt_interval)
-        self.device.instance(port_index).split.clear_starved(qp)
-        self._post_recv(port_index, qp)
+        self.device.instance(window.port_index).split.clear_starved(window.qp)
+        self._post_recv(window)
 
     def _on_recv(
-        self,
-        port_index: int,
-        qp: QueuePair,
-        completion: typing.Any,
-        h_buf: typing.Any,
-        d_buf: typing.Any,
+        self, window: _RecvWindow, completion: typing.Any, d_buf: typing.Any
     ) -> typing.Generator:
         yield from self.api.poll(completion)
-        message = completion.message
+        window.handler(completion.message, d_buf)
+        self._post_recv(window)  # keep the descriptor window full
+
+    def _admit_split(
+        self, port_index: int, qp: QueuePair, message: Message, d_buf: typing.Any
+    ) -> None:
+        """Client-ingress handler: route guard, admission, enqueue."""
         message.header["arrival_port"] = port_index
         if self._bounce_if_misrouted(qp, message) or not self._admit(qp, message):
             # Bounced or shed at ingress: the split already landed the
-            # payload in HBM — recycle the buffer, keep the descriptor
-            # window full.
+            # payload in HBM — recycle the buffer.
             self.api.dev_free(d_buf)
-            self._post_recv(port_index, qp)
             return
-        self._buffers[message.request_id] = (port_index, h_buf, d_buf)
+        self._buffers[message.request_id] = (port_index, d_buf)
         self._requests.put((qp, message))
-        self._post_recv(port_index, qp)
+
+    def _deliver_split(
+        self, matcher: ResponseMatcher, message: Message, d_buf: typing.Any
+    ) -> None:
+        """Storage-reply handler: the QP's matcher takes the landed reply;
+        a reply nobody claims (late or unexpected) frees its buffer."""
+        if not matcher.deliver(message, d_buf):
+            self.api.dev_free(d_buf)
 
     # -- the write path ----------------------------------------------------------
 
@@ -287,7 +316,7 @@ class SmartDsMiddleTier(MiddleTierServer):
             if host_span is not None:
                 host_span.finish("degraded", nbytes=message.payload_size)
             return
-        port_index, h_buf, d_recv = entry
+        port_index, d_recv = entry
         engine = self.device.instance(port_index).engine
         d_send = None
         if message.header.get("latency_sensitive"):
@@ -330,54 +359,17 @@ class SmartDsMiddleTier(MiddleTierServer):
 
     # -- the read path: hooks into the base class's fail-over loop ---------------
 
-    def _send_fetch(
-        self, server: "StorageServer", message: Message, fetch: Message
-    ) -> typing.Generator:
-        """§2.2.2 on SmartDS: a reply with data is consumed by the Split
-        module (payload to HBM); a miss is header-only and lands at the
-        control matcher — as does a *full* reply when the device
-        degraded this QP to host-path ingress. Both are raced."""
-        port_index = message.header.get("arrival_port", 0)
-        storage_qp, control_matcher = self._storage_link_for(server, message)
-        split_matcher = self._read_matchers.get((port_index, server.address))
-        if split_matcher is None:
-            split_matcher = _SplitReplyMatcher(self, storage_qp)
-            self._read_matchers[(port_index, server.address)] = split_matcher
-        events = [
-            split_matcher.expect(fetch.request_id),
-            control_matcher.expect(fetch.request_id),
-        ]
-        yield from storage_qp.transmit(fetch)
-        return events
-
-    def _take_fetch(
-        self,
-        server: "StorageServer",
-        message: Message,
-        fetch: Message,
-        events: list[typing.Any],
-        span: typing.Any,
-    ) -> tuple[Message, typing.Any] | None:
-        port_index = message.header.get("arrival_port", 0)
-        split_matcher = self._read_matchers[(port_index, server.address)]
-        control_matcher = self._storage_link_for(server, message)[1]
-        data_event, ctl_event = events
-        if data_event.triggered:
-            control_matcher.forget(fetch.request_id)
-            stored, d_buf = data_event.value
-            if span is not None:
-                span.finish("ok", nbytes=stored.payload_size, path="split")
-            return stored, d_buf
-        split_matcher.forget(fetch.request_id)
-        if not ctl_event.triggered:
-            control_matcher.forget(fetch.request_id)
-            return None
-        ctl: Message = ctl_event.value
-        if span is not None:
-            # A payload here is degraded: it sits in host memory.
-            status = "ok" if ctl.payload is None else "degraded"
-            span.finish(status, nbytes=ctl.payload_size, path="host")
-        return ctl, None
+    def _fetch_link(self, server: "StorageServer", message: Message) -> ResponseMatcher:
+        """§2.2.2 on SmartDS: the Split module lands a reply's payload in
+        HBM through the QP's window, posted here on the QP's first read
+        (write acks are header-only and never need one)."""
+        matcher = self._storage_link_for(server, message)
+        if matcher not in self._reply_windows:
+            self._reply_windows.add(matcher)
+            handler = functools.partial(self._deliver_split, matcher)
+            port_index = message.header.get("arrival_port", 0)
+            self._open_window(port_index, matcher.qp, handler, _REPLY_WINDOW, brownout=False)
+        return matcher
 
     def _land_reply(
         self,
@@ -395,8 +387,8 @@ class SmartDsMiddleTier(MiddleTierServer):
 
         Two degraded cases: with no HBM for the decompressed output the
         engine is skipped for a software decompress, and a reply that
-        arrived whole on the control path (no split descriptor, payload
-        in host DRAM) completes on the ``read.host-path``.
+        arrived whole (no split descriptor, payload in host DRAM)
+        completes on the ``read.host-path``.
         """
         api = self.api
         source = landed if entry is None else entry.buffer
@@ -442,68 +434,3 @@ class SmartDsMiddleTier(MiddleTierServer):
             if d_out is not None:
                 api.dev_free(d_out)
 
-
-class _SplitReplyMatcher:
-    """Routes split-consumed storage replies to waiting readers.
-
-    Keeps a window of mixed-recv descriptors posted on one storage QP;
-    completions are matched to waiters by ``in_reply_to`` (descriptors
-    are interchangeable, so FIFO hardware matching composes with
-    software request matching). Unclaimed replies are dropped and their
-    buffers recycled.
-    """
-
-    WINDOW = 8
-
-    def __init__(self, tier: SmartDsMiddleTier, qp: QueuePair) -> None:
-        self.tier = tier
-        self.qp = qp
-        self.sim = tier.sim
-        self._waiting: dict[int, typing.Any] = {}
-        for _ in range(self.WINDOW):
-            self._post()
-
-    def expect(self, request_id: int) -> typing.Any:
-        """Event firing with ``(reply_message, device_buffer)``."""
-        event = self.sim.event(name=f"split-reply:{request_id}")
-        self._waiting[request_id] = event
-        return event
-
-    def forget(self, request_id: int) -> None:
-        """Drop interest in a reply (the control path or the time-out won)."""
-        self._waiting.pop(request_id, None)
-
-    def _post(self) -> None:
-        api = self.tier.api
-        d_buf = api.dev_try_alloc(self.tier._buffer_bytes)
-        if d_buf is None:
-            # Window slot lost to memory pressure: degrade this QP to
-            # host-path ingress and restore the slot once HBM drains.
-            instance = api._instance_of(self.qp)
-            instance.split.mark_starved(self.qp)
-            self.sim.process(
-                self._deferred_post(instance), name="split-reply-repost", daemon=True
-            )
-            return
-        h_buf = api.host_alloc(self.tier.platform.workload.header_size)
-        completion = api.dev_mixed_recv(
-            self.qp, h_buf, h_buf.size, d_buf, self.tier._buffer_bytes
-        )
-        self.sim.process(
-            self._on_complete(completion, d_buf), name="split-reply-matcher", daemon=True
-        )
-
-    def _deferred_post(self, instance: typing.Any) -> typing.Generator:
-        yield self.tier.device.allocator.headroom_event(self.tier._buffer_bytes)
-        instance.split.clear_starved(self.qp)
-        self._post()
-
-    def _on_complete(self, completion: typing.Any, d_buf: typing.Any) -> typing.Generator:
-        yield from self.tier.api.poll(completion)
-        message = completion.message
-        self._post()  # keep the descriptor window full
-        event = self._waiting.pop(message.header.get("in_reply_to"), None)
-        if event is None:
-            self.tier.api.dev_free(d_buf)  # unclaimed; recycle
-        else:
-            event.succeed((message, d_buf))

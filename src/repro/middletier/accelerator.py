@@ -102,7 +102,7 @@ class AcceleratorMiddleTier(MiddleTierServer):
     def _compress_and_complete(self, qp: QueuePair, message: Message) -> typing.Generator:
         host = self.platform.host
         payload = message.payload
-        if message.header.get("latency_sensitive") or not self._compression_allowed():
+        if self._forward_raw(message):
             outgoing = payload
         else:
             outgoing = yield from self._engine_compress(payload)

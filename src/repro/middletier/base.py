@@ -45,6 +45,11 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 class ResponseMatcher:
     """Routes reply messages on a QP to whoever awaits them by request id.
 
+    It is the one place a tier matches ``in_reply_to``. Whole replies
+    come from the QP's software receive queue; on SmartDS, a reply the
+    Split module landed in device memory is handed to :meth:`deliver`
+    with its buffer. Either way the waiter gets ``(reply, landed)``.
+
     Replies nobody awaits come in two flavours. A reply to a request id
     that was :meth:`forget`-ten is an *expected* late arrival (the
     sender raced a fail-over time-out) — counted in :attr:`late_replies`
@@ -82,7 +87,7 @@ class ResponseMatcher:
         sim.process(self._loop(), name="response-matcher", daemon=True)
 
     def expect(self, request_id: int) -> Event:
-        """Event that fires with the reply to `request_id`."""
+        """Event that fires with ``(reply, landed)`` for `request_id`."""
         if request_id in self._waiting:
             raise ValueError(f"already expecting a reply to request {request_id}")
         self._forgotten.pop(request_id, None)
@@ -98,19 +103,48 @@ class ResponseMatcher:
                 self._forgotten.popitem(last=False)
                 self.forgotten_evicted.add()
 
+    def deliver(self, message: Message, landed: typing.Any = None) -> bool:
+        """Match one reply to its waiter; return whether one took it.
+
+        The waiter's event fires with ``(message, landed)``: `landed` is
+        the device buffer a split descriptor put the payload in, or
+        ``None`` when the reply reached host memory whole. An unclaimed
+        reply stays the caller's, so the caller frees `landed`.
+        """
+        request_id = message.header.get("in_reply_to")
+        event = self._waiting.pop(request_id, None)
+        if event is not None:
+            event.succeed((message, landed))
+            return True
+        if request_id in self._forgotten:
+            del self._forgotten[request_id]
+            self.late_replies.add()
+        else:
+            self.unexpected_replies.add()
+            self.unmatched.append(message)
+        return False
+
+    def round_trip(self, message: Message, timeout: float | None = None) -> typing.Generator:
+        """``yield from`` body: send `message`, wait for its reply (at most
+        `timeout`), return ``(reply, landed)``. On a time-out, return
+        ``None`` and forget the request, so its late reply is counted."""
+        event = self.expect(message.request_id)
+        try:
+            yield from self.qp.transmit(message)
+            if timeout is None:
+                yield event
+            else:
+                deadline = self.sim.timeout(timeout)
+                yield AnyOf(self.sim, [event, deadline])
+                deadline.cancel()
+        finally:
+            if not event.triggered:
+                self.forget(message.request_id)
+        return event.value if event.triggered else None
+
     def _loop(self) -> typing.Generator:
         while True:
-            message: Message = yield self.qp.recv()
-            request_id = message.header.get("in_reply_to")
-            event = self._waiting.pop(request_id, None) if request_id is not None else None
-            if event is not None:
-                event.succeed(message)
-            elif request_id is not None and request_id in self._forgotten:
-                del self._forgotten[request_id]
-                self.late_replies.add()
-            else:
-                self.unexpected_replies.add()
-                self.unmatched.append(message)
+            self.deliver((yield self.qp.recv()))
 
 
 @dataclasses.dataclass
@@ -131,6 +165,9 @@ class MiddleTierServer(abc.ABC):
 
     #: Human-readable design name ("CPU-only", "Acc", ...).
     design_name = "abstract"
+    #: Whether storage replies can land in device memory by split
+    #: (SmartDS); read-attempt spans then record where each one landed.
+    split_replies = False
 
     def __init__(
         self,
@@ -175,7 +212,7 @@ class MiddleTierServer(abc.ABC):
         self.read_failovers = Counter(f"{address}.read-failovers")
         self.reads_unavailable = Counter(f"{address}.reads-unavailable")
         self._requests: Store = Store(sim, name=f"{address}.requests")
-        self._storage_links: dict[str, tuple[QueuePair, ResponseMatcher]] = {}
+        self._storage_links: dict[str, ResponseMatcher] = {}
         self._block_locations: dict[tuple[int, int], tuple[str, ...]] = {}
         #: set True (e.g. by the LSM compaction service) to keep served
         #: writes in memory for later compaction (§2.2.3).
@@ -410,6 +447,12 @@ class MiddleTierServer(abc.ABC):
         """Brownout rung 3 gate consulted by the designs' compress steps."""
         return self.admission is None or self.admission.compression_allowed()
 
+    def _forward_raw(self, message: Message) -> bool:
+        """Whether a write skips compression: latency-sensitive writes
+        (Listing 1) and brownout rung 3. SmartDS keeps its own branches,
+        since it counts the brownout case as degraded."""
+        return bool(message.header.get("latency_sensitive")) or not self._compression_allowed()
+
     def _fill_allowed(self) -> bool:
         """Brownout rung 1 gate: whether read misses may fill the cache."""
         return self.admission is None or self.admission.cache_fills_allowed()
@@ -417,7 +460,7 @@ class MiddleTierServer(abc.ABC):
     def _connect_storage(self) -> None:
         for server in self.testbed.storage_servers:
             qp = server.accept_from(self.storage_endpoint)
-            self._storage_links[server.address] = (qp, ResponseMatcher(self.sim, qp))
+            self._storage_links[server.address] = ResponseMatcher(self.sim, qp)
 
     def start(self) -> None:
         """Spawn the worker pool (idempotent)."""
@@ -556,7 +599,7 @@ class MiddleTierServer(abc.ABC):
                         "write.short-circuit", outcome="retried", server=server.address
                     )
             else:
-                qp, matcher = self._storage_link_for(server, message)
+                matcher = self._storage_link_for(server, message)
                 store_msg = Message(
                     kind="storage_write",
                     src=self.address,
@@ -574,20 +617,14 @@ class MiddleTierServer(abc.ABC):
                         "write.attempt", server=server.address, attempt=attempts
                     )
                     store_msg.span = attempt_span
-                ack_event = matcher.expect(store_msg.request_id)
                 timeout = policy.timeout_for(attempts)
                 try:
-                    yield from qp.transmit(store_msg)
-                    deadline = self.sim.timeout(timeout)
-                    yield AnyOf(self.sim, [ack_event, deadline])
-                    deadline.cancel()
+                    # A time-out forgets the request: a late ack is expected (§2.2.3).
+                    acked = yield from matcher.round_trip(store_msg, timeout)
                 finally:
                     self.testbed.policy.complete(server)
-                    if not ack_event.triggered:
-                        # Expected late arrival, not a leak (§2.2.3 time-out).
-                        matcher.forget(store_msg.request_id)
-                if ack_event.triggered:
-                    ack: Message = ack_event.value
+                if acked is not None:
+                    ack, _landed = acked
                     if self.admission is not None:
                         self.admission.record_server_success(server.address)
                     if attempt_span is not None:
@@ -612,10 +649,8 @@ class MiddleTierServer(abc.ABC):
             if backoff > 0:
                 yield self.sim.timeout(backoff)
 
-    def _storage_link_for(
-        self, server: "StorageServer", message: Message
-    ) -> tuple[QueuePair, ResponseMatcher]:
-        """The (QP, matcher) to reach `server` for this request.
+    def _storage_link_for(self, server: "StorageServer", message: Message) -> ResponseMatcher:
+        """The matcher (and so the QP) to reach `server` for this request.
 
         Multi-port designs override this to keep storage traffic on the
         port the request arrived on.
@@ -720,8 +755,10 @@ class MiddleTierServer(abc.ABC):
         With a cache attached, a hit replies straight from device
         memory — no storage round trip, no failover; a miss takes the
         path below and then offers the fetched block for admission.
-        Designs differ only in the fetch hook (:meth:`_send_fetch`,
-        :meth:`_take_fetch`) and the landing hook (:meth:`_land_reply`).
+        Every reply reaches the attempt through its QP's
+        :class:`ResponseMatcher` as ``(reply, landed)``. Designs differ
+        only in the link hook (:meth:`_fetch_link`) and the landing hook
+        (:meth:`_land_reply`).
         """
         started = self.sim.now
         key = (message.header.get("chunk_id", 0), message.header.get("block_id", 0))
@@ -787,18 +824,33 @@ class MiddleTierServer(abc.ABC):
             if parent is not None:
                 attempt_span = parent.child("read.attempt", server=address, attempt=attempts)
                 fetch.span = attempt_span
-            events = yield from self._send_fetch(server, message, fetch)
-            # One time-out per attempt: the deadline and the span agree.
+            matcher = self._fetch_link(server, message)
+            reply_event = matcher.expect(fetch.request_id)
+            yield from matcher.qp.transmit(fetch)
+            # One time-out per attempt, computed after the send: the
+            # deadline and the span agree.
             timeout = policy.timeout_for(attempts, self.sim.now - started)
             deadline = self.sim.timeout(timeout)
-            yield AnyOf(self.sim, [*events, deadline])
+            yield AnyOf(self.sim, [reply_event, deadline])
             deadline.cancel()
-            fetched = self._take_fetch(server, message, fetch, events, attempt_span)
-            if fetched is not None:
+            if reply_event.triggered:
+                fetched = reply_event.value
+                if attempt_span is not None:
+                    reply, landed = fetched
+                    if not self.split_replies:
+                        attempt_span.finish("ok", nbytes=reply.payload_size)
+                    elif landed is not None:
+                        attempt_span.finish("ok", nbytes=reply.payload_size, path="split")
+                    else:
+                        # A payload here is degraded: it sits in host memory.
+                        status = "ok" if reply.payload is None else "degraded"
+                        attempt_span.finish(status, nbytes=reply.payload_size, path="host")
                 if self.admission is not None:
                     self.admission.record_server_success(address)
                 break
-            # Timed out: rotate to the next replica (§2.2.3 fail-over).
+            # Timed out: forget the fetch, so a late reply is counted and
+            # dropped, and rotate to the next replica (§2.2.3 fail-over).
+            matcher.forget(fetch.request_id)
             if self.admission is not None:
                 self.admission.record_server_failure(address)
             self.read_failovers.add()
@@ -849,43 +901,13 @@ class MiddleTierServer(abc.ABC):
 
     # -- read hooks: where the reply lands and who decompresses it ----------
 
-    def _send_fetch(
-        self, server: "StorageServer", message: Message, fetch: Message
-    ) -> typing.Generator:
-        """Fetch hook, send step: expect the reply to `fetch` and send it.
+    def _fetch_link(self, server: "StorageServer", message: Message) -> ResponseMatcher:
+        """Link hook: the matcher whose QP carries a fetch to `server`.
 
-        Returns the events the read loop races against the attempt's
-        time-out.
+        Default: the request's storage link. SmartDS posts the QP's
+        split window here on its first read.
         """
-        storage_qp, matcher = self._storage_link_for(server, message)
-        reply_event = matcher.expect(fetch.request_id)
-        yield from storage_qp.transmit(fetch)
-        return [reply_event]
-
-    def _take_fetch(
-        self,
-        server: "StorageServer",
-        message: Message,
-        fetch: Message,
-        events: list[Event],
-        span: typing.Any,
-    ) -> tuple[Message, typing.Any] | None:
-        """Fetch hook, classify step, after the race.
-
-        Returns ``(reply, landed)`` and finishes the attempt `span` when
-        a reply won; `landed` is a design-owned buffer holding the
-        payload, which the landing hook releases (``None`` here: the
-        payload is in host memory). Returns ``None`` on a time-out. The
-        losing matchers forget the request either way.
-        """
-        (reply_event,) = events
-        if not reply_event.triggered:
-            self._storage_link_for(server, message)[1].forget(fetch.request_id)
-            return None
-        reply: Message = reply_event.value
-        if span is not None:
-            span.finish("ok", nbytes=reply.payload_size)
-        return reply, None
+        return self._storage_link_for(server, message)
 
     def _land_reply(
         self,
@@ -900,7 +922,8 @@ class MiddleTierServer(abc.ABC):
         """Landing hook: decompress a fetched or cached `payload` and
         send the ok reply, carrying `span`; returns the reply payload.
 
-        `landed` is the fetch hook's buffer (the hook releases it);
+        `landed` is the device buffer the reply's payload landed in, or
+        ``None`` (this hook releases it);
         `entry` is the pinned cache entry on a hit (the read loop
         releases it). This default charges :meth:`_decompress_cost` and
         decompresses in software.

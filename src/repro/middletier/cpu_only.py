@@ -77,7 +77,7 @@ class CpuOnlyMiddleTier(MiddleTierServer):
         if payload is None:
             raise ValueError("write_request without payload")
         yield self.sim.timeout(host.parse_header_time)
-        if message.header.get("latency_sensitive") or not self._compression_allowed():
+        if self._forward_raw(message):
             outgoing = payload  # forwarded raw (Listing 1 / brownout rung 3)
         else:
             profile = self.cpu.compression_profile(worker_index, self.n_workers)

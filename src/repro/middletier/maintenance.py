@@ -23,7 +23,6 @@ import typing
 from repro.middletier.admission import address_token, jitter_unit
 from repro.middletier.base import MiddleTierServer, RetainedWrite
 from repro.net.message import Message
-from repro.sim.events import AnyOf
 from repro.telemetry.metrics import Counter
 from repro.units import gBps, msec
 
@@ -165,16 +164,13 @@ class LsmCompactionService:
     def _gc(
         self, server: "StorageServer", chunk_id: int, locations: list[int]
     ) -> typing.Generator:
-        qp, matcher = self.tier._storage_links[server.address]
         message = Message(
             kind="storage_gc",
             src=self.tier.address,
             dst=server.address,
             header={"chunk_id": chunk_id, "dead_locations": tuple(locations)},
         )
-        ack_event = matcher.expect(message.request_id)
-        yield from qp.transmit(message)
-        ack: Message = yield ack_event
+        ack, _landed = yield from self.tier._storage_links[server.address].round_trip(message)
         return ack.header.get("reclaimed", 0)
 
 
@@ -205,13 +201,11 @@ class SnapshotService:
             for server in self.tier.testbed.storage_servers:
                 if server.failed:
                     continue
-                qp, matcher = self.tier._storage_links[server.address]
                 message = Message(
                     kind="storage_snapshot", src=self.tier.address, dst=server.address
                 )
-                ack_event = matcher.expect(message.request_id)
-                yield from qp.transmit(message)
-                ack: Message = yield ack_event
+                matcher = self.tier._storage_links[server.address]
+                ack, _landed = yield from matcher.round_trip(message)
                 self.snapshot_ids.setdefault(server.address, []).append(
                     ack.header["snapshot_id"]
                 )
@@ -303,17 +297,10 @@ class HeartbeatMonitor:
                     yield from self._re_replicate(server.address)
 
     def _ping(self, server: "StorageServer") -> typing.Generator:
-        qp, matcher = self.tier._storage_links[server.address]
         message = Message(kind="storage_ping", src=self.tier.address, dst=server.address)
-        pong_event = matcher.expect(message.request_id)
-        yield from qp.transmit(message)
-        deadline = self.sim.timeout(self.timeout)
-        yield AnyOf(self.sim, [pong_event, deadline])
-        deadline.cancel()
-        if pong_event.triggered:
-            return True
-        matcher.forget(message.request_id)
-        return False
+        matcher = self.tier._storage_links[server.address]
+        pong = yield from matcher.round_trip(message, self.timeout)
+        return pong is not None
 
     def _re_replicate(self, failed_address: str) -> typing.Generator:
         """Restore replication of retained blocks the dead server held."""

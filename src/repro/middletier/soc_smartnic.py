@@ -65,7 +65,7 @@ class OnBoardEngineTier(MiddleTierServer):
 
     def _compress_and_complete(self, qp: QueuePair, message: Message) -> typing.Generator:
         payload = message.payload
-        if message.header.get("latency_sensitive") or not self._compression_allowed():
+        if self._forward_raw(message):
             outgoing = payload
         else:
             outgoing = yield from self._engine_compress(payload)
@@ -182,7 +182,7 @@ class BlueField3MiddleTier(MiddleTierServer):
         if payload is None:
             raise ValueError("write_request without payload")
         yield self.sim.timeout(spec.arm_parse_time)
-        if message.header.get("latency_sensitive") or not self._compression_allowed():
+        if self._forward_raw(message):
             outgoing = payload
         else:
             # Compression runs ON the Arm core: the worker is busy for

@@ -15,6 +15,11 @@ place:
   with ~0.7x of its theoretical bandwidth achievable.
 - Storage: 4 KB blocks, 64 B block-storage headers, 3-way replication,
   tens-of-microseconds flash writes.
+
+Engine timing lives with the compressor profiles
+(:data:`repro.compression.model.FPGA_ENGINE`, ``BF2_ENGINE``) and flash
+timing with :class:`repro.storage.blockdev.BlockDevice`. Every field
+here is read by the model (``tests/test_no_env_knobs.py``).
 """
 
 from __future__ import annotations
@@ -69,8 +74,6 @@ class SmartDsSpec:
     """The VCU128 prototype (§4, §5.1)."""
 
     max_ports: int = 6
-    engine_rate: float = gbps(100)  # per-port LZ4 engine
-    engine_setup_time: float = usec(1.0)
     hbm_rate: float = gbps(3400)  # 16-channel HBM, up to 3.4 Tb/s
     hbm_lanes: int = 16
     split_latency: float = usec(0.5)  # Split/Assemble hardware pipeline delay
@@ -84,10 +87,8 @@ class BlueField2Spec:
 
     arm_cores: int = 8
     arm_parse_time: float = usec(1.0)  # wimpy core parses a header
-    compression_rate: float = gbps(40)  # on-board engine
     device_memory_rate: float = gbps(500)  # ~0.7x theoretical DDR
     device_memory_lanes: int = 2
-    memory_passes: float = 3.5  # payload crosses device DRAM ~3.5x (§3.4)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -117,8 +118,6 @@ class StorageSpec:
     """Back-end storage servers and the block-storage data model."""
 
     replication: int = 3
-    disk_write_latency: float = usec(20)
-    disk_read_latency: float = usec(80)
     segment_bytes: int = 32 * 1024**3  # 32 GB segments
     chunk_bytes: int = 64 * 1024**2  # 64 MB chunks
 

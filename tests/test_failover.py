@@ -6,6 +6,7 @@ them across a small matrix of fault seeds; every schedule here is
 deterministic given that seed (see ``docs/robustness.md``).
 """
 
+import dataclasses
 import math
 import os
 import random
@@ -15,6 +16,7 @@ import pytest
 from repro.cache import HotBlockCache
 from repro.core import SmartDsMiddleTier
 from repro.core.device import DeviceMemoryAllocator
+from repro.core.server import _REPLY_WINDOW
 from repro.middletier import (
     AcceleratorMiddleTier,
     BlueField2MiddleTier,
@@ -28,8 +30,9 @@ from repro.middletier import (
 from repro.middletier.soc_smartnic import BlueField3MiddleTier
 from repro.net import Message, NetworkPort, RoceEndpoint
 from repro.net.message import Payload
-from repro.params import CacheSpec, NetworkSpec, RecoverySpec
+from repro.params import DEFAULT_PLATFORM, AdmissionSpec, CacheSpec, NetworkSpec, RecoverySpec
 from repro.sim import Simulator
+from repro.storage import BlockDevice
 from repro.telemetry.spans import SpanCollector
 from repro.units import gbps, kib, msec, usec
 from repro.workloads import ClientDriver, WriteRequestFactory
@@ -236,6 +239,64 @@ class TestResponseMatcher:
         matcher.expect(1)
         with pytest.raises(ValueError):
             matcher.expect(1)
+
+    def test_waiters_get_the_reply_and_where_it_landed(self):
+        """A whole reply from the QP and a reply handed over with a
+        device buffer reach their waiters in one shape."""
+        sim = Simulator()
+        qp = _linked_pair(sim)
+        matcher = ResponseMatcher(sim, qp)
+        whole, landed = matcher.expect(1), matcher.expect(2)
+        buffer = object()
+        assert matcher.deliver(_reply(2), buffer)
+
+        def send():
+            yield qp.peer.send(_reply(1))
+
+        sim.process(send())
+        sim.run()
+        reply, where = whole.value
+        assert reply.header["in_reply_to"] == 1 and where is None
+        reply, where = landed.value
+        assert reply.header["in_reply_to"] == 2 and where is buffer
+
+    def test_unclaimed_delivery_stays_with_the_caller(self):
+        sim = Simulator()
+        matcher = ResponseMatcher(sim, _linked_pair(sim))
+        matcher.expect(3)
+        matcher.forget(3)
+        assert not matcher.deliver(_reply(3), object())
+        assert not matcher.deliver(_reply(4), object())
+        assert matcher.late_replies.value == 1
+        assert matcher.unexpected_replies.value == 1
+
+    @pytest.mark.parametrize("delay,answered", [(usec(10), True), (usec(500), False)])
+    def test_round_trip_races_its_deadline(self, delay, answered):
+        sim = Simulator()
+        qp = _linked_pair(sim)
+        matcher = ResponseMatcher(sim, qp)
+        results = []
+
+        def server():
+            request = yield qp.peer.recv()
+            yield sim.timeout(delay)
+            yield qp.peer.send(request.reply("storage_ping_reply"))
+
+        def client():
+            message = Message("storage_ping", "a", "b")
+            results.append((yield from matcher.round_trip(message, usec(100))))
+
+        sim.process(server())
+        sim.process(client())
+        sim.run()
+        (fetched,) = results
+        if answered:
+            reply, landed = fetched
+            assert reply.kind == "storage_ping_reply" and landed is None
+        else:
+            assert fetched is None
+        assert matcher.late_replies.value == (0 if answered else 1)
+        assert sim.idle  # the deadline was cancelled, not left to expire
 
 
 def _write_then_locate(sim, tier, testbed, n_writes=8, concurrency=4, seed=1):
@@ -687,6 +748,114 @@ class TestGracefulDegradation:
         assert tier.requests_degraded.value > 0
 
 
+class TestSplitLandedReplies:
+    """SmartDS storage replies reach the read through the QP's one matcher,
+    and the read-attempt span says where each reply landed."""
+
+    @staticmethod
+    def _tier(sim):
+        testbed = Testbed(sim, n_storage_servers=5)
+        tier = SmartDsMiddleTier(sim, testbed, n_ports=1)
+        driver, locations = _write_then_locate(sim, tier, testbed)
+        return testbed, tier, driver, locations
+
+    @staticmethod
+    def _attempts(collector):
+        _root, spans = _read_trace(collector)
+        return [span for span in spans if span.name == "read.attempt"]
+
+    def test_late_split_reply_is_counted_and_its_buffer_freed(self):
+        sim = Simulator()
+        testbed, tier, driver, locations = self._tier(sim)
+        slow = testbed.server(locations[0])  # the replica attempt 1 targets
+        timeout = testbed.platform.recovery.read_attempt_timeout
+        slow.device = BlockDevice(sim, name="slow.nvme", read_latency=1.5 * timeout)
+
+        result = sim.run(until=driver.run_reads([0], concurrency=1))
+        assert result.failures == ()
+        assert result.payload_bytes == testbed.platform.workload.block_size
+        assert tier.read_failovers.value == 1
+        sim.run()  # the slow replica's reply lands by split after the time-out
+        assert tier._storage_link_for(slow, Message("probe", "a", "b")).late_replies.value == 1
+        # Left allocated: the client window and the two storage windows.
+        posted = tier._recv_window + 2 * _REPLY_WINDOW
+        assert tier.device.allocator.allocated == posted * tier._buffer_bytes
+
+    def test_split_landed_hit_records_the_split_path(self):
+        sim = Simulator()
+        collector = SpanCollector(sim)
+        _testbed, _tier, driver, _locations = self._tier(sim)
+        sim.run(until=driver.run_reads([0], concurrency=1))
+        sim.run()
+        (attempt,) = self._attempts(collector)
+        assert attempt.outcome == "ok"
+        assert attempt.attrs["path"] == "split" and attempt.nbytes > 0
+
+    def test_header_only_miss_records_the_host_path(self):
+        sim = Simulator()
+        collector = SpanCollector(sim)
+        testbed, _tier, driver, locations = self._tier(sim)
+        for address in locations:
+            store = testbed.server(address).store
+            while (record := store.latest(0, 0)) is not None:
+                store.mark_dead(record.location)
+            store.gc(0)
+        result = sim.run(until=driver.run_reads([0], concurrency=1))
+        sim.run()
+        assert result.failures == ((0, "not_found"),)
+        (attempt,) = self._attempts(collector)
+        assert attempt.outcome == "ok"
+        assert attempt.attrs["path"] == "host" and attempt.nbytes == 0
+
+    def test_whole_reply_on_a_starved_qp_is_degraded(self):
+        """HBM above the watermark before the first read: the storage
+        QP's window cannot be posted, so the reply reaches host memory
+        whole."""
+        sim = Simulator()
+        collector = SpanCollector(sim)
+        testbed, tier, driver, _locations = self._tier(sim)
+        allocator = tier.device.allocator
+        hog = allocator.alloc(allocator.admission_limit - allocator.allocated + 1)
+        result = sim.run(until=driver.run_reads([0], concurrency=1))
+        assert result.payload_bytes == testbed.platform.workload.block_size
+        (attempt,) = self._attempts(collector)
+        assert attempt.outcome == "degraded"
+        assert attempt.attrs["path"] == "host" and attempt.nbytes > 0
+        allocator.free(hog)
+        sim.run()
+
+    def test_brownout_withholds_client_descriptors_only(self, monkeypatch):
+        """Rung 2 leaves the client-ingress window unposted, so every
+        write takes the host path; the storage window a read opens
+        under it still splits the reply."""
+        sim = Simulator()
+        collector = SpanCollector(sim)
+        platform = dataclasses.replace(DEFAULT_PLATFORM, admission=AdmissionSpec(enabled=True))
+        testbed = Testbed(sim, platform, n_storage_servers=5)
+        tier = SmartDsMiddleTier(sim, testbed, n_ports=1)
+        monkeypatch.setattr(tier.admission, "prefer_host_ingress", lambda: True)
+        driver, _locations = _write_then_locate(sim, tier, testbed)
+        assert tier.requests_degraded.value == 8
+        sim.run(until=driver.run_reads([0], concurrency=1))
+        (attempt,) = self._attempts(collector)
+        assert attempt.outcome == "ok" and attempt.attrs["path"] == "split"
+        monkeypatch.undo()
+        sim.run()
+
+    @pytest.mark.parametrize("tier_factory", READ_TIERS[:-1], ids=READ_TIER_IDS[:-1])
+    def test_other_designs_record_no_path(self, tier_factory):
+        sim = Simulator()
+        collector = SpanCollector(sim)
+        testbed = Testbed(sim, n_storage_servers=5)
+        tier = tier_factory(sim, testbed)
+        driver, _locations = _write_then_locate(sim, tier, testbed)
+        sim.run(until=driver.run_reads([0], concurrency=1))
+        sim.run()
+        (attempt,) = self._attempts(collector)
+        assert attempt.outcome == "ok"
+        assert "path" not in attempt.attrs
+
+
 class TestDegradedReads:
     def test_raw_block_read_under_hbm_pressure_does_not_wait_for_a_buffer(self):
         """An uncompressed block needs no HBM output buffer, so reading
@@ -703,7 +872,7 @@ class TestDegradedReads:
             warmup_fraction=0.0,
         )
         sim.run(until=driver.run(2))  # two raw (latency-sensitive) blocks
-        # A first read posts the split-reply descriptors while HBM is free.
+        # A first read posts the storage QP's split window while HBM is free.
         sim.run(until=driver.run_reads([0], concurrency=1))
         allocator = tier.device.allocator
         hog = allocator.alloc(allocator.admission_limit - allocator.allocated + 1)

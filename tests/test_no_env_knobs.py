@@ -11,14 +11,21 @@
   under ``src/repro``, ``tests`` or ``examples`` touches its
   ``_reply_events``, and no other module in ``repro.workloads`` or
   ``repro.compute`` opens a port or endpoint or runs a reply loop.
+- One reply matcher on the tier: in ``repro.core`` and
+  ``repro.middletier`` only ``ResponseMatcher`` reads ``in_reply_to``.
+- Every field of every spec dataclass in ``repro.params`` is read
+  somewhere under ``src/repro``: a field nothing reads is a knob that
+  changes nothing.
 """
 
 import ast
+import dataclasses
 import pathlib
 
 import pytest
 
 import repro
+import repro.params
 
 _ENV_NAMES = {"environ", "environb", "getenv", "getenvb"}
 
@@ -104,3 +111,42 @@ def test_only_the_request_client_issues_requests(roots, names):
         for hit in _references(path, tree, names)
     ]
     assert not offenders, "outside RequestClient:\n  " + "\n  ".join(offenders)
+
+
+def test_only_the_response_matcher_reads_in_reply_to():
+    modules = _modules(_PACKAGE / "core", _PACKAGE / "middletier")
+    hits = [
+        f"{path}:{node.lineno}"
+        for path, tree in modules
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and node.value == "in_reply_to"
+    ]
+    assert len(hits) == 1 and "middletier/base.py" in hits[0], (
+        "tier-side in_reply_to reads:\n  " + "\n  ".join(hits)
+    )
+
+
+def test_every_spec_field_is_read():
+    """A field counts as read when some module under ``src/repro`` loads
+    an attribute of its name; ``params.py``'s own properties count."""
+    read = {
+        node.attr
+        for _path, tree in _modules()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    specs = [
+        cls
+        for cls in vars(repro.params).values()
+        if isinstance(cls, type)
+        and dataclasses.is_dataclass(cls)
+        and cls.__module__ == repro.params.__name__
+    ]
+    assert specs
+    unread = [
+        f"{cls.__name__}.{field.name}"
+        for cls in specs
+        for field in dataclasses.fields(cls)
+        if field.name not in read
+    ]
+    assert not unread, "spec fields nothing reads:\n  " + "\n  ".join(unread)
