@@ -170,8 +170,7 @@ class SmartDsMiddleTier(MiddleTierServer):
         # Base-class paths that don't know about ports use port 0.
         self._storage_links = self._port_links[0]
 
-    def _storage_link_for(self, server: "StorageServer", message: Message) -> ResponseMatcher:
-        port = message.header.get("arrival_port", 0)
+    def _storage_link_for(self, server: "StorageServer", port: int) -> ResponseMatcher:
         return self._port_links[port][server.address]
 
     def attach_client(self, client_endpoint: RoceEndpoint, port_index: int = 0) -> QueuePair:
@@ -359,16 +358,15 @@ class SmartDsMiddleTier(MiddleTierServer):
 
     # -- the read path: hooks into the base class's fail-over loop ---------------
 
-    def _fetch_link(self, server: "StorageServer", message: Message) -> ResponseMatcher:
+    def _fetch_link(self, server: "StorageServer", port: int) -> ResponseMatcher:
         """§2.2.2 on SmartDS: the Split module lands a reply's payload in
         HBM through the QP's window, posted here on the QP's first read
         (write acks are header-only and never need one)."""
-        matcher = self._storage_link_for(server, message)
+        matcher = self._storage_link_for(server, port)
         if matcher not in self._reply_windows:
             self._reply_windows.add(matcher)
             handler = functools.partial(self._deliver_split, matcher)
-            port_index = message.header.get("arrival_port", 0)
-            self._open_window(port_index, matcher.qp, handler, _REPLY_WINDOW, brownout=False)
+            self._open_window(port, matcher.qp, handler, _REPLY_WINDOW, brownout=False)
         return matcher
 
     def _land_reply(

@@ -24,9 +24,10 @@ sheds work early, cheaply, and explicitly instead of degrading everyone:
   is disabled, the default — every call site guards on that, so the
   unprotected tier behaves exactly as before).
 
-All jitter is deterministic (same mixing idiom as
-:mod:`repro.middletier.retry`), so a chaos run replayed from the same
-seed reproduces the exact shed/short-circuit schedule. See
+All jitter is deterministic (:func:`jitter_unit`, the one seeded draw
+the breakers, the heartbeat re-probes and the retry backoff share), so
+a chaos run replayed from the same seed reproduces the exact
+shed/short-circuit schedule. See
 ``docs/robustness.md`` for the architecture and tuning knobs.
 """
 
@@ -45,9 +46,9 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.net.message import Message
     from repro.sim.kernel import Simulator
 
-#: Same decorrelating multipliers as :mod:`repro.middletier.retry`: the
-#: jitter for draw `count` of entity `token` is a pure function of
-#: ``(seed, token, count)``, so replays are exact.
+#: Large odd multipliers decorrelate the ``(seed, token, count)``
+#: triples feeding :func:`jitter_unit` without relying on Python's
+#: salted ``hash()``, so replays are exact.
 _MIX_A = 1_000_003
 _MIX_B = 998_244_353
 

@@ -34,7 +34,6 @@ from repro.telemetry.flight import FlightRecorder
 from repro.telemetry.metrics import Counter, LatencyRecorder
 from repro.telemetry.registry import registry_for
 from repro.telemetry.slo import SLOMonitor, slo_monitor_for
-from repro.units import msec
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.compression.model import CompressorProfile
@@ -175,9 +174,6 @@ class MiddleTierServer(abc.ABC):
         testbed: Testbed,
         n_workers: int,
         address: str = "tier0",
-        replica_timeout: float = msec(5),
-        write_retry: RetryPolicy | None = None,
-        read_retry: RetryPolicy | None = None,
     ) -> None:
         if n_workers < 1:
             raise ValueError(f"need at least one worker, got {n_workers}")
@@ -186,12 +182,8 @@ class MiddleTierServer(abc.ABC):
         self.platform: PlatformSpec = testbed.platform
         self.n_workers = n_workers
         self.address = address
-        self.replica_timeout = replica_timeout
-        recovery = self.platform.recovery
-        self.write_retry = write_retry or RetryPolicy.for_writes(
-            recovery, attempt_timeout=replica_timeout
-        )
-        self.read_retry = read_retry or RetryPolicy.for_reads(recovery)
+        self.write_retry = RetryPolicy.for_writes(self.platform.recovery)
+        self.read_retry = RetryPolicy.for_reads(self.platform.recovery)
         #: Set by :meth:`repro.middletier.maintenance.HeartbeatMonitor.watch`;
         #: replica selection skips servers it suspects.
         self.health: typing.Any = None
@@ -524,23 +516,15 @@ class MiddleTierServer(abc.ABC):
     def _replicate_and_reply(
         self, qp: QueuePair, message: Message, payload: Payload
     ) -> typing.Generator:
-        servers = self.testbed.policy.choose()
         rep_span = None
         if message.span is not None:
-            rep_span = message.span.child("write.replicate", replicas=len(servers))
-        # Fail-over must never double-place a block: every retry excludes
-        # the whole original target set, not just the server that died.
-        targets = {server.address for server in servers}
-        writes = [
-            self.sim.process(
-                self._write_replica(server, message, payload, exclude=targets, span=rep_span)
+            rep_span = message.span.child(
+                "write.replicate", replicas=self.testbed.policy.replication
             )
-            for server in servers
-        ]
-        results = yield self.sim.all_of(writes)
-        replicas = tuple(results[write] for write in writes)
         key = (message.header.get("chunk_id", 0), message.header.get("block_id", 0))
-        self._block_locations[key] = tuple(address for address, _location in replicas)
+        replicas = yield from self._replicate(
+            key, payload, rep_span, message.header.get("arrival_port", 0)
+        )
         # Write-through invalidation: drop the cached (pre-write) block
         # before the VM sees the ack, so a read issued after the ack can
         # never be served stale bytes from the cache.
@@ -554,19 +538,58 @@ class MiddleTierServer(abc.ABC):
         reply.span = rep_span
         yield from qp.transmit(reply)
         if rep_span is not None:
-            rep_span.finish(nbytes=payload.size * len(servers))
+            rep_span.finish(nbytes=payload.size * len(replicas))
         self._complete(message)
         self.payload_bytes_served.add(message.payload_size)
+
+    def _replicate(
+        self,
+        key: tuple[int, int],
+        payload: Payload,
+        span: typing.Any = None,
+        port: int = 0,
+    ) -> typing.Generator:
+        """``yield from`` body: persist `payload` as block `key` (§2.2.3).
+
+        The one replicated-write path of the tier — VM writes and LSM
+        compaction both land here. Chooses the replica set, writes every
+        copy concurrently with time-out fail-over (:meth:`_write_replica`),
+        records the holders and returns the ``(address, location)`` of
+        each acknowledged copy. `port` is the NIC port whose storage
+        links carry the writes (multi-port designs).
+        """
+        servers = self.testbed.policy.choose()
+        # Fail-over must never double-place a block: every retry excludes
+        # the whole original target set, not just the server that died.
+        targets = {server.address for server in servers}
+        writes = [
+            self.sim.process(
+                self._write_replica(server, key, payload, targets, span, port)
+            )
+            for server in servers
+        ]
+        results = yield self.sim.all_of(writes)
+        replicas = tuple(results[write] for write in writes)
+        self._record_replicas(key, replicas)
+        return replicas
+
+    def _record_replicas(
+        self, key: tuple[int, int], replicas: typing.Iterable[tuple[str, int]]
+    ) -> None:
+        """Note which servers hold block `key` now; the only writer of
+        the read path's replica map (re-replication calls it too)."""
+        self._block_locations[key] = tuple(address for address, _location in replicas)
 
     def _write_replica(
         self,
         server: "StorageServer",
-        message: Message,
+        key: tuple[int, int],
         payload: Payload,
         exclude: typing.Collection[str] = (),
         span: typing.Any = None,
+        port: int = 0,
     ) -> typing.Generator:
-        """Write one replica; on time-out, fail over to another server.
+        """Write one replica of block `key`; on time-out, fail over.
 
         `exclude` holds the other replicas' targets so a replacement is
         never a server that already stores this block. Returns
@@ -580,7 +603,7 @@ class MiddleTierServer(abc.ABC):
         cannot leave ``policy.outstanding`` stale.
         """
         policy = self.write_retry
-        token = self._retry_token(message)
+        token = self._retry_token(key)
         attempts = 0
         excluded: set[str] = set(exclude)
         excluded.discard(server.address)
@@ -599,17 +622,14 @@ class MiddleTierServer(abc.ABC):
                         "write.short-circuit", outcome="retried", server=server.address
                     )
             else:
-                matcher = self._storage_link_for(server, message)
+                matcher = self._storage_link_for(server, port)
                 store_msg = Message(
                     kind="storage_write",
                     src=self.address,
                     dst=server.address,
-                    header_size=message.header_size,
+                    header_size=self.platform.workload.header_size,
                     payload=payload,
-                    header={
-                        "chunk_id": message.header.get("chunk_id", 0),
-                        "block_id": message.header.get("block_id", 0),
-                    },
+                    header={"chunk_id": key[0], "block_id": key[1]},
                 )
                 attempt_span = None
                 if span is not None:
@@ -643,14 +663,16 @@ class MiddleTierServer(abc.ABC):
                 if span is not None:
                     span.finish("failed", attempts=attempts)
                 outcome = "short-circuited" if short_circuit else "failed"
-                raise RuntimeError(f"write of {message.header} {outcome} on every server")
+                raise RuntimeError(f"write of block {key} {outcome} on every server")
             server = self._choose_replacement(excluded)
+            if server is None:
+                raise RuntimeError("no healthy storage server left for fail-over")
             backoff = 0.0 if short_circuit else policy.backoff_before(attempts + 1, token)
             if backoff > 0:
                 yield self.sim.timeout(backoff)
 
-    def _storage_link_for(self, server: "StorageServer", message: Message) -> ResponseMatcher:
-        """The matcher (and so the QP) to reach `server` for this request.
+    def _storage_link_for(self, server: "StorageServer", port: int) -> ResponseMatcher:
+        """The matcher (and so the QP) to reach `server` from NIC `port`.
 
         Multi-port designs override this to keep storage traffic on the
         port the request arrived on.
@@ -658,22 +680,25 @@ class MiddleTierServer(abc.ABC):
         return self._storage_links[server.address]
 
     @staticmethod
-    def _retry_token(message: Message) -> int:
+    def _retry_token(key: tuple[int, int]) -> int:
         """Replay-stable jitter token: a function of the block address.
 
         Request ids come from a process-global counter, so they are not
         stable across two runs in one process — the block address is.
         """
-        return (
-            int(message.header.get("chunk_id", 0)) * 1_000_003
-            + int(message.header.get("block_id", 0))
-        )
+        return int(key[0]) * 1_000_003 + int(key[1])
 
     def _suspected(self, address: str) -> bool:
         """Whether the health monitor (if any) suspects `address` is down."""
         return self.health is not None and not self.health.is_healthy(address)
 
-    def _choose_replacement(self, excluded: set[str]) -> "StorageServer":
+    def _choose_replacement(self, excluded: typing.Collection[str]) -> "StorageServer | None":
+        """Claim the least-loaded live server outside `excluded`, or
+        return ``None`` when none is left (nothing is claimed then).
+
+        The one replacement chooser: write fail-over and heartbeat
+        re-replication both call it.
+        """
         alive = [
             s
             for s in self.testbed.storage_servers
@@ -694,7 +719,7 @@ class MiddleTierServer(abc.ABC):
             ]
             candidates = open_free or candidates
         if not candidates:
-            raise RuntimeError("no healthy storage server left for fail-over")
+            return None
         chosen = min(candidates, key=lambda s: self.testbed.policy.outstanding(s))
         self.testbed.policy.claim(chosen)
         return chosen
@@ -790,7 +815,8 @@ class MiddleTierServer(abc.ABC):
                 fill_token = self.cache.begin_fill(key)
         locations = self._block_locations.get(key)
         policy = self.read_retry
-        token = self._retry_token(message)
+        token = self._retry_token(key)
+        port = message.header.get("arrival_port", 0)
         attempts = 0
         fetched: tuple[Message, typing.Any] | None = None
         while locations and fetched is None:
@@ -824,7 +850,7 @@ class MiddleTierServer(abc.ABC):
             if parent is not None:
                 attempt_span = parent.child("read.attempt", server=address, attempt=attempts)
                 fetch.span = attempt_span
-            matcher = self._fetch_link(server, message)
+            matcher = self._fetch_link(server, port)
             reply_event = matcher.expect(fetch.request_id)
             yield from matcher.qp.transmit(fetch)
             # One time-out per attempt, computed after the send: the
@@ -901,13 +927,14 @@ class MiddleTierServer(abc.ABC):
 
     # -- read hooks: where the reply lands and who decompresses it ----------
 
-    def _fetch_link(self, server: "StorageServer", message: Message) -> ResponseMatcher:
-        """Link hook: the matcher whose QP carries a fetch to `server`.
+    def _fetch_link(self, server: "StorageServer", port: int) -> ResponseMatcher:
+        """Link hook: the matcher whose QP carries a fetch to `server`
+        from NIC `port`.
 
-        Default: the request's storage link. SmartDS posts the QP's
-        split window here on its first read.
+        Default: the port's storage link. SmartDS posts the QP's split
+        window here on its first read.
         """
-        return self._storage_link_for(server, message)
+        return self._storage_link_for(server, port)
 
     def _land_reply(
         self,

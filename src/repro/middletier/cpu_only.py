@@ -42,14 +42,12 @@ class CpuOnlyMiddleTier(MiddleTierServer):
         address: str = "tier0",
         ddio_enabled: bool = True,
         memory: MemorySubsystem | None = None,
-        replica_timeout: float | None = None,
     ) -> None:
         self._ddio_enabled = ddio_enabled
         self._shared_memory = memory
         self.cpu = CpuComplex(testbed.platform.host)
         self.cpu.validate_thread_count(n_workers)
-        extra = {} if replica_timeout is None else {"replica_timeout": replica_timeout}
-        super().__init__(sim, testbed, n_workers, address=address, **extra)
+        super().__init__(sim, testbed, n_workers, address=address)
 
     def _build(self) -> None:
         host = self.platform.host

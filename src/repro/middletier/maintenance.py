@@ -4,12 +4,18 @@ Besides real-time I/O serving, every middle-tier server runs:
 
 - **LSM compaction** — served writes are retained in memory; once a
   chunk accumulates a threshold of writes, they are compacted (latest
-  version per block wins) and the result re-persisted;
+  version per block wins) and the result re-persisted through the
+  tier's one replicated-write routine, ``MiddleTierServer._replicate``;
 - **garbage collection** — the pre-compaction blocks' disk space on the
   storage servers is reclaimed;
 - **snapshots** — periodic point-in-time pins of the chunk stores;
 - **fail-over monitoring** — heartbeats detect dead storage servers and
-  re-replicate the retained blocks they held.
+  re-replicate the retained blocks they held, each to a server from
+  the tier's one chooser, ``MiddleTierServer._choose_replacement``.
+
+GC and snapshot round trips wait at most the write attempt time-out of
+the platform's ``RecoverySpec``: a dead server costs a loop one
+time-out, never a hang.
 
 These services consume host memory bandwidth and CPU alongside the
 real-time path — the interference §5.3 measures performance isolation
@@ -115,32 +121,13 @@ class LsmCompactionService:
         self.blocks_out.add(len(latest))
 
         # Re-persist the survivors concurrently (compactors batch their
-        # output); they become the chunk's new log.
-        new_records: dict[int, tuple[tuple[str, int], ...]] = {}
-        batch = []
-        for block_id, entry in latest.items():
-            synthetic = Message(
-                kind="write_request",
-                src=self.tier.address,
-                dst=self.tier.address,
-                header_size=self.tier.platform.workload.header_size,
-                header={"chunk_id": chunk_id, "block_id": block_id, "compacted": True},
-            )
-            servers = self.tier.testbed.policy.choose()
-            targets = {server.address for server in servers}
-            writes = [
-                self.sim.process(
-                    self.tier._write_replica(server, synthetic, entry.payload, exclude=targets)
-                )
-                for server in servers
-            ]
-            batch.append((block_id, writes))
-        for block_id, writes in batch:
-            results = yield self.sim.all_of(writes)
-            new_records[block_id] = tuple(results[write] for write in writes)
-            self.tier._block_locations[(chunk_id, block_id)] = tuple(
-                address for address, _ in new_records[block_id]
-            )
+        # output) through the tier's one replicated-write path.
+        persists = {
+            block_id: self.sim.process(self.tier._replicate((chunk_id, block_id), entry.payload))
+            for block_id, entry in latest.items()
+        }
+        results = yield self.sim.all_of(list(persists.values()))
+        new_records = {block_id: results[persist] for block_id, persist in persists.items()}
 
         # ...and GC every superseded location on its server: the raw
         # retained writes, plus the previous compaction's output for any
@@ -157,21 +144,22 @@ class LsmCompactionService:
         for block_id, records in new_records.items():
             self._previous_output[(chunk_id, block_id)] = records
         for address, locations in dead_by_server.items():
-            server = self.tier.testbed.server(address)
-            reclaimed = yield from self._gc(server, chunk_id, locations)
+            reclaimed = yield from self._gc(address, chunk_id, locations)
             self.bytes_reclaimed.add(reclaimed)
 
-    def _gc(
-        self, server: "StorageServer", chunk_id: int, locations: list[int]
-    ) -> typing.Generator:
+    def _gc(self, address: str, chunk_id: int, locations: list[int]) -> typing.Generator:
+        """Reclaim `locations` on server `address`; a server that does not
+        answer within the write time-out reclaims nothing."""
         message = Message(
             kind="storage_gc",
             src=self.tier.address,
-            dst=server.address,
+            dst=address,
             header={"chunk_id": chunk_id, "dead_locations": tuple(locations)},
         )
-        ack, _landed = yield from self.tier._storage_links[server.address].round_trip(message)
-        return ack.header.get("reclaimed", 0)
+        acked = yield from self.tier._storage_links[address].round_trip(
+            message, self.tier.platform.recovery.write_attempt_timeout
+        )
+        return 0 if acked is None else acked[0].header.get("reclaimed", 0)
 
 
 class SnapshotService:
@@ -205,9 +193,13 @@ class SnapshotService:
                     kind="storage_snapshot", src=self.tier.address, dst=server.address
                 )
                 matcher = self.tier._storage_links[server.address]
-                ack, _landed = yield from matcher.round_trip(message)
+                acked = yield from matcher.round_trip(
+                    message, self.tier.platform.recovery.write_attempt_timeout
+                )
+                if acked is None:
+                    continue  # no answer: no snapshot of it this round
                 self.snapshot_ids.setdefault(server.address, []).append(
-                    ack.header["snapshot_id"]
+                    acked[0].header["snapshot_id"]
                 )
                 self.snapshots_taken.add()
 
@@ -303,44 +295,27 @@ class HeartbeatMonitor:
         return pong is not None
 
     def _re_replicate(self, failed_address: str) -> typing.Generator:
-        """Restore replication of retained blocks the dead server held."""
-        for chunk_id, entries in self.tier._chunk_log.items():
+        """Restore replication of retained blocks the dead server held.
+
+        Walks a snapshot of the retained log, because writes served
+        while it yields may add chunks to the log.
+        """
+        for chunk_id, entries in list(self.tier._chunk_log.items()):
             for entry in entries:
-                holders = [address for address, _ in entry.replicas]
+                holders = {address for address, _ in entry.replicas}
                 if failed_address not in holders:
                     continue
-                replacement = self._pick_replacement(exclude=set(holders))
+                # Suspected servers are excluded outright, so "none left"
+                # means no unsuspected live server: skip the block.
+                replacement = self.tier._choose_replacement(holders | self.suspected)
                 if replacement is None:
                     continue
-                synthetic = Message(
-                    kind="write_request",
-                    src=self.tier.address,
-                    dst=self.tier.address,
-                    header_size=self.tier.platform.workload.header_size,
-                    header={"chunk_id": chunk_id, "block_id": entry.block_id},
-                )
-                self.tier.testbed.policy.claim(replacement)
+                key = (chunk_id, entry.block_id)
                 result = yield self.sim.process(
-                    self.tier._write_replica(
-                        replacement, synthetic, entry.payload, exclude=set(holders)
-                    )
+                    self.tier._write_replica(replacement, key, entry.payload, holders)
                 )
                 entry.replicas = tuple(
                     r for r in entry.replicas if r[0] != failed_address
                 ) + (result,)
-                self.tier._block_locations[(chunk_id, entry.block_id)] = tuple(
-                    address for address, _ in entry.replicas
-                )
+                self.tier._record_replicas(key, entry.replicas)
                 self.blocks_re_replicated.add()
-
-    def _pick_replacement(self, exclude: set[str]) -> "StorageServer | None":
-        candidates = [
-            server
-            for server in self.tier.testbed.storage_servers
-            if server.address not in exclude
-            and server.address not in self.suspected
-            and not server.failed
-        ]
-        if not candidates:
-            return None
-        return min(candidates, key=lambda s: self.tier.testbed.policy.outstanding(s))

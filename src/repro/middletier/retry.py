@@ -16,15 +16,10 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import random
 
+from repro.middletier.admission import jitter_unit
 from repro.params import RecoverySpec
 from repro.units import msec, usec
-
-#: Large odd multipliers decorrelate the (seed, token, attempt) triples
-#: feeding the jitter RNG without relying on Python's salted hash().
-_MIX_A = 1_000_003
-_MIX_B = 998_244_353
 
 
 @dataclasses.dataclass(frozen=True)
@@ -64,23 +59,20 @@ class RetryPolicy:
     # -- construction from the platform's calibrated defaults ---------------
 
     @classmethod
-    def for_writes(
-        cls, spec: RecoverySpec, attempt_timeout: float | None = None, seed: int = 0
-    ) -> "RetryPolicy":
+    def for_writes(cls, spec: RecoverySpec) -> "RetryPolicy":
         """The replica-write policy: unbounded deadline, bounded attempts."""
         return cls(
             max_attempts=spec.write_max_attempts,
-            attempt_timeout=attempt_timeout or spec.write_attempt_timeout,
+            attempt_timeout=spec.write_attempt_timeout,
             backoff_base=spec.backoff_base,
             backoff_multiplier=spec.backoff_multiplier,
             backoff_cap=spec.backoff_cap,
             jitter=spec.backoff_jitter,
             deadline=math.inf,
-            seed=seed,
         )
 
     @classmethod
-    def for_reads(cls, spec: RecoverySpec, seed: int = 0) -> "RetryPolicy":
+    def for_reads(cls, spec: RecoverySpec) -> "RetryPolicy":
         """The read fail-over policy: finite deadline, then "unavailable"."""
         return cls(
             max_attempts=spec.read_max_attempts,
@@ -90,7 +82,6 @@ class RetryPolicy:
             backoff_cap=spec.backoff_cap,
             jitter=spec.backoff_jitter,
             deadline=spec.read_deadline,
-            seed=seed,
         )
 
     # -- per-attempt queries -------------------------------------------------
@@ -117,8 +108,7 @@ class RetryPolicy:
         )
         if self.jitter == 0.0 or raw == 0.0:
             return raw
-        mixed = (self.seed * _MIX_A + int(token)) * _MIX_A + attempt * _MIX_B
-        unit = random.Random(mixed).random()
+        unit = jitter_unit(self.seed, token, attempt)
         return raw * (1.0 - self.jitter + 2.0 * self.jitter * unit)
 
     def attempts_exhausted(self, attempts_made: int) -> bool:

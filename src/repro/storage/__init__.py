@@ -8,13 +8,12 @@ and read requests from the middle tier over RoCE, and participates in
 
 from repro.storage.blockdev import BlockDevice
 from repro.storage.chunkstore import ChunkStore, StoredBlock
-from repro.storage.replication import ReplicaSet, ReplicationPolicy
+from repro.storage.replication import ReplicationPolicy
 from repro.storage.server import StorageServer
 
 __all__ = [
     "BlockDevice",
     "ChunkStore",
-    "ReplicaSet",
     "ReplicationPolicy",
     "StorageServer",
     "StoredBlock",

@@ -1,16 +1,14 @@
-"""Replica placement and durability tracking.
+"""Replica placement.
 
 Each write is replicated to several (usually three, §2.1) storage
 servers chosen "according to disk usage, distribution of switches,
 loads of storage servers, and disaster recovery strategy" (§2.2.1).
 :class:`ReplicationPolicy` implements a load-balanced chooser with a
-fail-over path; :class:`ReplicaSet` tracks acknowledgements until a
-write is durable.
+fail-over path.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import typing
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -63,28 +61,3 @@ class ReplicationPolicy:
     def outstanding(self, server: "StorageServer") -> int:
         """Writes currently in flight to `server`."""
         return self._outstanding[server.address]
-
-
-@dataclasses.dataclass
-class ReplicaSet:
-    """Durability state of one replicated write."""
-
-    block_id: int
-    targets: tuple[str, ...]
-    acked: set = dataclasses.field(default_factory=set)
-
-    def ack(self, address: str) -> None:
-        """Record an acknowledgement from one replica target."""
-        if address not in self.targets:
-            raise ValueError(f"{address} is not a target of this replica set")
-        self.acked.add(address)
-
-    @property
-    def is_durable(self) -> bool:
-        """True once every target acknowledged (the paper acks the VM then)."""
-        return self.acked == set(self.targets)
-
-    @property
-    def missing(self) -> tuple[str, ...]:
-        """Targets that have not acknowledged yet."""
-        return tuple(t for t in self.targets if t not in self.acked)

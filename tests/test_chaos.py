@@ -6,6 +6,7 @@ the heartbeat monitor has done its job, and no acknowledged data is
 lost (functional payloads still decompress to the original bytes).
 """
 
+import dataclasses
 import random
 
 import pytest
@@ -13,6 +14,7 @@ import pytest
 from repro.compression import SilesiaLikeCorpus, lz4_decompress
 from repro.core import SmartDsMiddleTier
 from repro.middletier import CpuOnlyMiddleTier, HeartbeatMonitor, Testbed
+from repro.params import DEFAULT_PLATFORM, RecoverySpec
 from repro.sim import Simulator
 from repro.telemetry.metrics import jain_fairness
 from repro.units import msec
@@ -93,8 +95,11 @@ class TestFailureUnderLoad:
         """Randomized: kill then recover servers during a sustained run."""
         rng = random.Random(9)
         sim = Simulator()
-        testbed = Testbed(sim, n_storage_servers=6)
-        tier = CpuOnlyMiddleTier(sim, testbed, n_workers=4, replica_timeout=msec(2))
+        platform = dataclasses.replace(
+            DEFAULT_PLATFORM, recovery=RecoverySpec(write_attempt_timeout=msec(2))
+        )
+        testbed = Testbed(sim, platform, n_storage_servers=6)
+        tier = CpuOnlyMiddleTier(sim, testbed, n_workers=4)
         driver = ClientDriver(
             sim,
             tier,

@@ -158,7 +158,7 @@ class TestRetryDeadlineEdges:
 
         def attempt():
             try:
-                yield from tier._write_replica(first, message, message.payload)
+                yield from tier._write_replica(first, (0, 0), message.payload)
             except RuntimeError as err:
                 errors.append(str(err))
 
@@ -462,8 +462,11 @@ class TestClaimCompleteBalance:
         """Fail-over timeouts must not leak replication-policy claims."""
         rng = random.Random(FAULT_SEED)
         sim = Simulator()
-        testbed = Testbed(sim, n_storage_servers=5)
-        tier = CpuOnlyMiddleTier(sim, testbed, n_workers=4, replica_timeout=msec(1))
+        platform = dataclasses.replace(
+            DEFAULT_PLATFORM, recovery=RecoverySpec(write_attempt_timeout=msec(1))
+        )
+        testbed = Testbed(sim, platform, n_storage_servers=5)
+        tier = CpuOnlyMiddleTier(sim, testbed, n_workers=4)
         driver = ClientDriver(
             sim,
             tier,
@@ -776,7 +779,7 @@ class TestSplitLandedReplies:
         assert result.payload_bytes == testbed.platform.workload.block_size
         assert tier.read_failovers.value == 1
         sim.run()  # the slow replica's reply lands by split after the time-out
-        assert tier._storage_link_for(slow, Message("probe", "a", "b")).late_replies.value == 1
+        assert tier._storage_link_for(slow, 0).late_replies.value == 1
         # Left allocated: the client window and the two storage windows.
         posted = tier._recv_window + 2 * _REPLY_WINDOW
         assert tier.device.allocator.allocated == posted * tier._buffer_bytes

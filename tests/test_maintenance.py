@@ -10,6 +10,7 @@ from repro.middletier import (
     Testbed,
 )
 from repro.sim import Simulator
+from repro.storage import BlockDevice
 from repro.units import msec, usec
 from repro.workloads import ClientDriver, WriteRequestFactory
 
@@ -72,6 +73,33 @@ class TestLsmCompaction:
         )
         assert total_live_blocks == 32 * 3  # 3 replicas each
 
+    def test_compaction_survives_a_dead_replica_server(self):
+        """A server holding compaction output dies; later compactions of
+        the chunk time out their GC there instead of blocking for good."""
+        sim = Simulator()
+        testbed, tier, factory, driver = build(sim, n_storage=5)
+        service = LsmCompactionService(sim, tier, threshold=16, scan_interval=usec(200))
+
+        def batch():
+            for lba in range(16):
+                yield from driver.request(factory.make(lba))
+
+        tier.start()
+        sim.run(until=sim.process(batch()))
+        sim.run(until=sim.now + msec(5))
+        assert service.compactions.value == 1
+        victim = service._previous_output[(0, 0)][0][0]
+        testbed.server(victim).fail()
+        for _ in range(2):
+            sim.run(until=sim.process(batch()))
+            sim.run(until=sim.now + msec(20))
+        service.stop()
+        assert service.compactions.value == 3
+        assert not tier._chunk_log.get(0)
+        for block_id in range(16):
+            holders = tier._block_locations[(0, block_id)]
+            assert victim not in holders and len(set(holders)) == 3
+
     def test_bad_threshold_rejected(self):
         sim = Simulator()
         testbed, tier, factory, driver = build(sim)
@@ -91,6 +119,26 @@ class TestSnapshots:
         assert service.snapshots_taken.value >= 4
         for server in testbed.storage_servers:
             assert service.snapshot_ids.get(server.address)
+
+    def test_server_dying_mid_snapshot_does_not_stall_the_rounds(self):
+        """A server that fails while it writes its snapshot manifest never
+        answers; the round times out on it and the other servers go on."""
+        sim = Simulator()
+        testbed, tier, factory, driver = build(sim)
+        victim = testbed.storage_servers[0]
+        victim.device = BlockDevice(sim, name="slow.nvme", write_latency=msec(1))
+        service = SnapshotService(sim, tier, interval=msec(1))
+
+        def chaos():
+            yield sim.timeout(msec(1.5))  # the first round waits on the victim
+            victim.fail()
+
+        sim.process(chaos())
+        sim.run(until=msec(20))
+        service.stop()
+        assert victim.address not in service.snapshot_ids
+        for server in testbed.storage_servers[1:]:
+            assert len(service.snapshot_ids.get(server.address, ())) >= 2
 
     def test_snapshot_survives_compaction_gc(self):
         """A snapshot taken before compaction still sees the old blocks."""
@@ -130,6 +178,37 @@ class TestHeartbeatFailover:
                 holders = [address for address, _ in entry.replicas]
                 assert victim not in holders
                 assert len(holders) == 3
+
+    def test_re_replication_survives_writes_to_new_chunks(self):
+        """Writes that open new chunks while re-replication walks the
+        retained log must not break the walk."""
+        sim = Simulator()
+        testbed, tier, factory, driver = build(sim, n_storage=5)
+        tier.retain_writes = True
+        monitor = HeartbeatMonitor(sim, tier, interval=msec(1), timeout=msec(1))
+        victim = testbed.storage_servers[0]
+
+        def writer():
+            tier.start()
+            for i in range(400):
+                yield from driver.request(factory.make(i * 16384))  # a new chunk each
+
+        def chaos():
+            yield sim.timeout(usec(300))
+            victim.fail()
+
+        sim.process(chaos())
+        sim.run(until=sim.process(writer()))
+        sim.run(until=sim.now + msec(10))
+        monitor.stop()
+        assert tier.requests_completed.value == 400
+        assert monitor.failures_detected.value == 1
+        assert monitor.blocks_re_replicated.value > 0
+        assert len(tier._chunk_log) == 400
+        for entries in tier._chunk_log.values():
+            for entry in entries:
+                holders = {address for address, _ in entry.replicas}
+                assert victim.address not in holders and len(holders) == 3
 
     def test_healthy_cluster_no_false_positives(self):
         sim = Simulator()

@@ -13,6 +13,9 @@
   ``repro.compute`` opens a port or endpoint or runs a reply loop.
 - One reply matcher on the tier: in ``repro.core`` and
   ``repro.middletier`` only ``ResponseMatcher`` reads ``in_reply_to``.
+- One replicated-write path: no module in ``repro.middletier`` builds a
+  ``write_request`` message (only VMs send those), and only
+  ``middletier/base.py`` assigns an entry of ``_block_locations``.
 - Every field of every spec dataclass in ``repro.params`` is read
   somewhere under ``src/repro``: a field nothing reads is a knob that
   changes nothing.
@@ -123,6 +126,61 @@ def test_only_the_response_matcher_reads_in_reply_to():
     ]
     assert len(hits) == 1 and "middletier/base.py" in hits[0], (
         "tier-side in_reply_to reads:\n  " + "\n  ".join(hits)
+    )
+
+
+def _write_request_builds(path: pathlib.Path, tree: ast.Module) -> list[str]:
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if getattr(func, "id", getattr(func, "attr", None)) != "Message":
+            continue
+        kinds = [keyword.value for keyword in node.keywords if keyword.arg == "kind"]
+        kinds += node.args[:1]
+        if any(isinstance(kind, ast.Constant) and kind.value == "write_request" for kind in kinds):
+            found.append(f"{path}:{node.lineno}: Message(kind='write_request')")
+    return found
+
+
+def _block_location_writes(path: pathlib.Path, tree: ast.Module) -> list[str]:
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            if (
+                isinstance(target, ast.Subscript)
+                and getattr(target.value, "attr", getattr(target.value, "id", None))
+                == "_block_locations"
+            ):
+                found.append(f"{path}:{node.lineno}: _block_locations[...] =")
+    return found
+
+
+def test_no_tier_module_builds_a_write_request():
+    offenders = [
+        hit
+        for path, tree in _modules(_PACKAGE / "middletier")
+        for hit in _write_request_builds(path, tree)
+    ]
+    assert not offenders, "tier-built write requests:\n  " + "\n  ".join(offenders)
+
+
+def test_only_the_tier_base_records_block_locations():
+    offenders = [
+        hit
+        for path, tree in _modules()
+        if path != _PACKAGE / "middletier" / "base.py"
+        for hit in _block_location_writes(path, tree)
+    ]
+    assert not offenders, "_block_locations writes outside base.py:\n  " + "\n  ".join(
+        offenders
     )
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from repro.net import Message, NetworkPort, Payload, RoceEndpoint
 from repro.sim import Simulator
-from repro.storage import BlockDevice, ChunkStore, ReplicaSet, ReplicationPolicy, StorageServer
+from repro.storage import BlockDevice, ChunkStore, ReplicationPolicy, StorageServer
 from repro.units import gbps, usec
 
 
@@ -254,22 +254,6 @@ class TestReplicationPolicy:
         sim = Simulator()
         with pytest.raises(ValueError):
             ReplicationPolicy(self._servers(sim, 2), replication=3)
-
-
-class TestReplicaSet:
-    def test_durable_after_all_acks(self):
-        rs = ReplicaSet(block_id=1, targets=("a", "b", "c"))
-        rs.ack("a")
-        rs.ack("b")
-        assert not rs.is_durable
-        assert rs.missing == ("c",)
-        rs.ack("c")
-        assert rs.is_durable
-
-    def test_foreign_ack_rejected(self):
-        rs = ReplicaSet(block_id=1, targets=("a",))
-        with pytest.raises(ValueError):
-            rs.ack("z")
 
 
 class TestStorageServer:
