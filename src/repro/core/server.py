@@ -422,7 +422,7 @@ class SmartDsMiddleTier(MiddleTierServer):
                     )
                     if eng_span is not None:
                         eng_span.finish(nbytes=payload.size)
-            yield from self._send_ok(qp, message, payload, reply_span)
+            yield from self._reply(qp, message, "ok", payload, reply_span)
             if reply_span is not span:
                 reply_span.finish("degraded", nbytes=payload.size)
             return payload

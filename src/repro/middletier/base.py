@@ -146,6 +146,10 @@ class ResponseMatcher:
             self.deliver((yield self.qp.recv()))
 
 
+#: Statuses a tier answers at ingress, before the request is admitted.
+_INGRESS_STATUSES = frozenset({"shed", "wrong_shard"})
+
+
 @dataclasses.dataclass
 class RetainedWrite:
     """A served write kept in middle-tier memory for LSM compaction.
@@ -184,8 +188,8 @@ class MiddleTierServer(abc.ABC):
         self.address = address
         self.write_retry = RetryPolicy.for_writes(self.platform.recovery)
         self.read_retry = RetryPolicy.for_reads(self.platform.recovery)
-        #: Set by :meth:`repro.middletier.maintenance.HeartbeatMonitor.watch`;
-        #: replica selection skips servers it suspects.
+        #: Set by :class:`repro.middletier.maintenance.HeartbeatMonitor`
+        #: when it is built; replica selection skips servers it suspects.
         self.health: typing.Any = None
         #: Shard-ownership guard set by :class:`repro.cluster.ShardedCluster`
         #: (``None`` on an undirected tier — the default). Called with each
@@ -203,6 +207,7 @@ class MiddleTierServer(abc.ABC):
         self.failovers = Counter(f"{address}.failovers")
         self.read_failovers = Counter(f"{address}.read-failovers")
         self.reads_unavailable = Counter(f"{address}.reads-unavailable")
+        self.writes_unavailable = Counter(f"{address}.writes-unavailable")
         self._requests: Store = Store(sim, name=f"{address}.requests")
         self._storage_links: dict[str, ResponseMatcher] = {}
         self._block_locations: dict[tuple[int, int], tuple[str, ...]] = {}
@@ -224,6 +229,7 @@ class MiddleTierServer(abc.ABC):
             registry.register_instance(self.failovers, "tier.write_failovers", **labels)
             registry.register_instance(self.read_failovers, "tier.read_failovers", **labels)
             registry.register_instance(self.reads_unavailable, "tier.reads_unavailable", **labels)
+            registry.register_instance(self.writes_unavailable, "tier.writes_unavailable", **labels)
             registry.register_instance(self.cache_hit_latency, "tier.cache_hit_latency", **labels)
             registry.register_instance(self.cache_miss_latency, "tier.cache_miss_latency", **labels)
             self._latency_hist = registry.histogram("tier.request_latency", **labels)
@@ -369,8 +375,14 @@ class MiddleTierServer(abc.ABC):
         redirect = self.route_guard(message)
         if redirect is None:
             return False
+        # The redirect headers (owner address, directory map version)
+        # let the client refetch the route map and retry.
+        self.wrong_shard_replies.add()
+        if message.span is not None:
+            bounce = message.span.child("route.wrong_shard", shard=self.address, **redirect)
+            bounce.finish("retried")
         self.sim.process(
-            self._send_wrong_shard(qp, message, redirect),
+            self._reply(qp, message, "wrong_shard", **redirect),
             name=f"{self.address}.wrong-shard",
         )
         return True
@@ -384,56 +396,12 @@ class MiddleTierServer(abc.ABC):
         reason = self.admission.admit(message)
         if reason is None:
             return True
+        if message.span is not None:
+            message.span.child("admission.shed", reason=reason).finish("shed")
         self.sim.process(
-            self._send_shed_reply(qp, message, reason), name=f"{self.address}.shed"
+            self._reply(qp, message, "shed", reason=reason), name=f"{self.address}.shed"
         )
         return False
-
-    def _send_shed_reply(
-        self, qp: QueuePair, message: Message, reason: str
-    ) -> typing.Generator:
-        kind = "write_reply" if message.kind == "write_request" else "read_reply"
-        reply = message.reply(kind, status="shed", reason=reason)
-        # reply() doesn't propagate the flow tag; shed replies must stay
-        # visible to FlowLedger byte-conservation audits.
-        reply.flow = message.flow
-        if message.span is not None:
-            shed_span = message.span.child("admission.shed", reason=reason)
-            shed_span.finish("shed")
-        if self._slo_monitors:
-            self._observe_completion(message, "shed")
-        yield from qp.transmit(reply)
-
-    def _send_wrong_shard(
-        self, qp: QueuePair, message: Message, redirect: dict
-    ) -> typing.Generator:
-        """Bounce a misrouted request back with the current owner.
-
-        The redirect headers (owner address, directory map version) come
-        from the cluster's route guard; the client refetches the route
-        map and retries (``docs/scaling.md``).
-        """
-        kind = "write_reply" if message.kind == "write_request" else "read_reply"
-        reply = message.reply(kind, status="wrong_shard", **redirect)
-        # Like shed replies, wrong-shard bounces carry the request's flow
-        # tag so FlowLedger conservation audits see the full exchange.
-        reply.flow = message.flow
-        self.wrong_shard_replies.add()
-        if message.span is not None:
-            bounce = message.span.child(
-                "route.wrong_shard", shard=self.address, **redirect
-            )
-            bounce.finish("retried")
-        if self._slo_monitors:
-            # Monitors ignore routing bounces (IGNORED_STATUSES); fed so
-            # a future objective over them sees the full record stream.
-            self._observe_completion(message, "wrong_shard")
-        yield from qp.transmit(reply)
-
-    def _release_admission(self, message: Message) -> None:
-        """Return the request's credit at a non-ok terminal reply."""
-        if self.admission is not None:
-            self.admission.release(message)
 
     def _compression_allowed(self) -> bool:
         """Brownout rung 3 gate consulted by the designs' compress steps."""
@@ -474,38 +442,52 @@ class MiddleTierServer(abc.ABC):
             else:
                 raise ValueError(f"{self.design_name} got unexpected message {message.kind!r}")
 
-    # -- write completion: replication, fail-over, VM ack --------------------
+    # -- the one exit: every client reply ----------------------------------
 
-    def _complete(self, message: Message, nbytes: int | None = None) -> None:
-        """Count one served request; feed the latency histogram and SLO
-        monitors if any are attached. `nbytes` is the goodput payload
-        (reads pass the fetched block; default: the request's payload)."""
-        if self.admission is not None:
-            self.admission.release(message)
-        self.requests_completed.add()
-        latency = (
-            self.sim.now - message.created_at if message.created_at is not None else None
-        )
-        if self._latency_hist is not None and latency is not None:
-            self._latency_hist.observe(latency)
-        if self._slo_monitors:
-            self._observe_completion(
-                message,
-                "ok",
-                latency=latency,
-                nbytes=message.payload_size if nbytes is None else nbytes,
-            )
-
-    def _observe_completion(
+    def _reply(
         self,
+        qp: QueuePair,
         message: Message,
         status: str,
-        latency: float | None = None,
-        nbytes: int = 0,
-    ) -> None:
-        """Feed one terminal reply to every attached SLO monitor."""
+        payload: Payload | None = None,
+        span: typing.Any = None,
+        **header: typing.Any,
+    ) -> typing.Generator:
+        """``yield from`` body: answer `message` with `status` — the one
+        place a tier replies to a client.
+
+        Builds the ``write_reply`` or ``read_reply`` (carrying `span`,
+        `payload` and the extra `header` fields), transmits it, and then
+        accounts the request: returns its admission credit and feeds the
+        SLO monitors; an ``ok`` also counts as completed and feeds the
+        latency histogram. Callers close their own spans afterwards.
+        """
+        write = message.kind == "write_request"
+        reply = message.reply(
+            "write_reply" if write else "read_reply", payload, status=status, **header
+        )
+        reply.span = span
+        if status in _INGRESS_STATUSES:
+            # reply() doesn't propagate the flow tag; answers given at
+            # ingress must stay visible to FlowLedger conservation audits.
+            reply.flow = message.flow
+        yield from qp.transmit(reply)
+        if self.admission is not None:
+            self.admission.release(message)
+        latency = None if message.created_at is None else self.sim.now - message.created_at
+        nbytes = 0
+        if status == "ok":
+            # Goodput: the written payload, or the block a read returned.
+            nbytes = message.payload_size if payload is None else payload.size
+            self.requests_completed.add()
+            if write:
+                self.payload_bytes_served.add(nbytes)
+            if self._latency_hist is not None and latency is not None:
+                self._latency_hist.observe(latency)
         for monitor in self._slo_monitors:
             monitor.record(message.kind, status, latency=latency, nbytes=nbytes)
+
+    # -- write completion: replication, fail-over, VM ack --------------------
 
     def _spawn_completion(self, qp: QueuePair, message: Message, payload: Payload) -> None:
         """Persist `payload` to the replica set and ack the VM, off-worker."""
@@ -527,20 +509,24 @@ class MiddleTierServer(abc.ABC):
         )
         # Write-through invalidation: drop the cached (pre-write) block
         # before the VM sees the ack, so a read issued after the ack can
-        # never be served stale bytes from the cache.
+        # never be served stale bytes from the cache. A failed write may
+        # still have landed some copies, so it invalidates too.
         if self.cache is not None:
             self.cache.invalidate(key)
+        if replicas is None:
+            # Some copy found no live server: the write is not durable.
+            self.writes_unavailable.add()
+            yield from self._reply(qp, message, "unavailable", span=rep_span)
+            if rep_span is not None:
+                rep_span.finish("failed")
+            return
         if self.retain_writes:
             self._chunk_log.setdefault(key[0], []).append(
                 RetainedWrite(block_id=key[1], payload=payload, replicas=replicas)
             )
-        reply = message.reply("write_reply", status="ok")
-        reply.span = rep_span
-        yield from qp.transmit(reply)
+        yield from self._reply(qp, message, "ok", span=rep_span)
         if rep_span is not None:
             rep_span.finish(nbytes=payload.size * len(replicas))
-        self._complete(message)
-        self.payload_bytes_served.add(message.payload_size)
 
     def _replicate(
         self,
@@ -555,10 +541,13 @@ class MiddleTierServer(abc.ABC):
         compaction both land here. Chooses the replica set, writes every
         copy concurrently with time-out fail-over (:meth:`_write_replica`),
         records the holders and returns the ``(address, location)`` of
-        each acknowledged copy. `port` is the NIC port whose storage
-        links carry the writes (multi-port designs).
+        each acknowledged copy. Returns ``None``, recording nothing, when
+        some copy found no live server. `port` is the NIC port whose
+        storage links carry the writes (multi-port designs).
         """
         servers = self.testbed.policy.choose()
+        if servers is None:
+            return None
         # Fail-over must never double-place a block: every retry excludes
         # the whole original target set, not just the server that died.
         targets = {server.address for server in servers}
@@ -570,6 +559,8 @@ class MiddleTierServer(abc.ABC):
         ]
         results = yield self.sim.all_of(writes)
         replicas = tuple(results[write] for write in writes)
+        if None in replicas:
+            return None
         self._record_replicas(key, replicas)
         return replicas
 
@@ -593,14 +584,15 @@ class MiddleTierServer(abc.ABC):
 
         `exclude` holds the other replicas' targets so a replacement is
         never a server that already stores this block. Returns
-        ``(address, location)`` of the acknowledged copy.
+        ``(address, location)`` of the acknowledged copy, or ``None``
+        once the attempt budget is spent or no replacement is left.
 
         Accounting contract: the caller holds one replication-policy
         claim on `server` (from ``choose()`` or ``claim()``); each
         fail-over claims its replacement via :meth:`_choose_replacement`.
         Every claim is released by exactly one ``complete()`` — in a
-        ``finally`` so even an error path (e.g. no replacement left)
-        cannot leave ``policy.outstanding`` stale.
+        ``finally`` so even an error path cannot leave
+        ``policy.outstanding`` stale.
         """
         policy = self.write_retry
         token = self._retry_token(key)
@@ -657,16 +649,14 @@ class MiddleTierServer(abc.ABC):
                     attempt_span.finish("retried", timeout=timeout)
                 self.failovers.add()
             excluded.add(server.address)
-            if policy.attempts_exhausted(attempts) or attempts > len(
+            exhausted = policy.attempts_exhausted(attempts) or attempts > len(
                 self.testbed.storage_servers
-            ):
+            )
+            server = None if exhausted else self._choose_replacement(excluded)
+            if server is None:
                 if span is not None:
                     span.finish("failed", attempts=attempts)
-                outcome = "short-circuited" if short_circuit else "failed"
-                raise RuntimeError(f"write of block {key} {outcome} on every server")
-            server = self._choose_replacement(excluded)
-            if server is None:
-                raise RuntimeError("no healthy storage server left for fail-over")
+                return None
             backoff = 0.0 if short_circuit else policy.backoff_before(attempts + 1, token)
             if backoff > 0:
                 yield self.sim.timeout(backoff)
@@ -804,7 +794,6 @@ class MiddleTierServer(abc.ABC):
                     self.cache.release(entry)
                 if hit_span is not None:
                     hit_span.finish(nbytes=payload.size)
-                self._complete(message, nbytes=payload.size)
                 self.cache_hit_latency.record(self.sim.now - started)
                 return
             if parent is not None:
@@ -832,7 +821,9 @@ class MiddleTierServer(abc.ABC):
                     unavail_span = parent.child(
                         "read.unavailable", attempts=attempts, **policy.describe()
                     )
-                yield from self._finish(qp, message, "unavailable", started, unavail_span)
+                yield from self._reply(qp, message, "unavailable", span=unavail_span)
+                if unavail_span is not None:
+                    unavail_span.finish("failed")
                 return
             attempts += 1
             backoff = policy.backoff_before(attempts, token)
@@ -888,42 +879,16 @@ class MiddleTierServer(abc.ABC):
         if stored is None or stored.kind != "storage_read_reply" or stored.payload is None:
             if parent is not None:
                 parent.event("read.not_found", outcome="failed")
-            yield from self._finish(qp, message, "not_found", started)
+            yield from self._reply(qp, message, "not_found")
             return
         if self.cache is not None and fill_token is not None:
             # Admission decision on the fetched (still compressed) block.
             admitted = self.cache.offer(key, stored.payload, fill_token)
             if parent is not None:
                 parent.event("cache.fill", admitted=admitted)
-        payload = yield from self._land_reply(
-            worker_index, qp, message, stored.payload, parent, landed
-        )
-        self._complete(message, nbytes=payload.size)
+        yield from self._land_reply(worker_index, qp, message, stored.payload, parent, landed)
         if self.cache is not None:
             self.cache_miss_latency.record(self.sim.now - started)
-
-    def _finish(
-        self,
-        qp: QueuePair,
-        message: Message,
-        status: str,
-        started: float,
-        span: typing.Any = None,
-    ) -> typing.Generator:
-        """The one exit of a read that ends without data.
-
-        Returns the admission credit, feeds the SLO monitors, sends the
-        `status` reply, and closes `span` (the give-up span, if any)
-        once the reply is on the wire.
-        """
-        self._release_admission(message)
-        if self._slo_monitors:
-            self._observe_completion(message, status, latency=self.sim.now - started)
-        response = message.reply("read_reply", status=status)
-        response.span = span
-        yield from qp.transmit(response)
-        if span is not None:
-            span.finish("failed")
 
     # -- read hooks: where the reply lands and who decompresses it ----------
 
@@ -947,7 +912,8 @@ class MiddleTierServer(abc.ABC):
         entry: typing.Any = None,
     ) -> typing.Generator:
         """Landing hook: decompress a fetched or cached `payload` and
-        send the ok reply, carrying `span`; returns the reply payload.
+        answer ``ok`` through :meth:`_reply`, carrying `span`; returns the
+        reply payload.
 
         `landed` is the device buffer the reply's payload landed in, or
         ``None`` (this hook releases it);
@@ -961,14 +927,5 @@ class MiddleTierServer(abc.ABC):
             payload = decompress_payload(payload)
             if dec_span is not None:
                 dec_span.finish(nbytes=payload.size)
-        yield from self._send_ok(qp, message, payload, span)
+        yield from self._reply(qp, message, "ok", payload, span)
         return payload
-
-    @staticmethod
-    def _send_ok(
-        qp: QueuePair, message: Message, payload: Payload, span: typing.Any
-    ) -> typing.Generator:
-        response = message.reply("read_reply", status="ok")
-        response.payload = payload
-        response.span = span
-        yield from qp.transmit(response)

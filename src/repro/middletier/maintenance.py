@@ -118,7 +118,6 @@ class LsmCompactionService:
         latest: dict[int, RetainedWrite] = {}
         for entry in entries:
             latest[entry.block_id] = entry
-        self.blocks_out.add(len(latest))
 
         # Re-persist the survivors concurrently (compactors batch their
         # output) through the tier's one replicated-write path.
@@ -128,21 +127,34 @@ class LsmCompactionService:
         }
         results = yield self.sim.all_of(list(persists.values()))
         new_records = {block_id: results[persist] for block_id, persist in persists.items()}
+        # A block no live server could take keeps its retained writes
+        # (ahead of any served since): they are its only durable copies,
+        # so none of its locations is reclaimed either.
+        unplaced = {block_id for block_id, records in new_records.items() if records is None}
+        if unplaced:
+            kept = [entry for entry in entries if entry.block_id in unplaced]
+            self.tier._chunk_log[chunk_id] = kept + self.tier._chunk_log.get(chunk_id, [])
+        self.blocks_out.add(len(latest) - len(unplaced))
 
         # ...and GC every superseded location on its server: the raw
         # retained writes, plus the previous compaction's output for any
         # block that was just rewritten.
         dead_by_server: dict[str, list[int]] = {}
         for entry in entries:
+            if entry.block_id in unplaced:
+                continue
             for address, location in entry.replicas:
                 if location >= 0:
                     dead_by_server.setdefault(address, []).append(location)
         for block_id in latest:
+            if block_id in unplaced:
+                continue
             for address, location in self._previous_output.pop((chunk_id, block_id), ()):
                 if location >= 0:
                     dead_by_server.setdefault(address, []).append(location)
         for block_id, records in new_records.items():
-            self._previous_output[(chunk_id, block_id)] = records
+            if records is not None:
+                self._previous_output[(chunk_id, block_id)] = records
         for address, locations in dead_by_server.items():
             reclaimed = yield from self._gc(address, chunk_id, locations)
             self.bytes_reclaimed.add(reclaimed)
@@ -295,27 +307,36 @@ class HeartbeatMonitor:
         return pong is not None
 
     def _re_replicate(self, failed_address: str) -> typing.Generator:
-        """Restore replication of retained blocks the dead server held.
+        """Restore replication of the retained blocks the dead server held.
 
-        Walks a snapshot of the retained log, because writes served
-        while it yields may add chunks to the log.
+        Only each block's newest retained write — the last one in the
+        chunk's log — is copied, and only while the read path still maps
+        the block to its holders: an older version would become the
+        replacement's latest record. Walks a snapshot of the retained
+        log, because writes served while it yields may add chunks to the
+        log or move a block's map (which then stays as they left it).
         """
+        locations = self.tier._block_locations
         for chunk_id, entries in list(self.tier._chunk_log.items()):
-            for entry in entries:
-                holders = {address for address, _ in entry.replicas}
-                if failed_address not in holders:
+            newest = {entry.block_id: entry for entry in entries}
+            for block_id, entry in newest.items():
+                key = (chunk_id, block_id)
+                holders = tuple(address for address, _ in entry.replicas)
+                if failed_address not in holders or locations.get(key) != holders:
                     continue
                 # Suspected servers are excluded outright, so "none left"
                 # means no unsuspected live server: skip the block.
-                replacement = self.tier._choose_replacement(holders | self.suspected)
+                replacement = self.tier._choose_replacement(set(holders) | self.suspected)
                 if replacement is None:
                     continue
-                key = (chunk_id, entry.block_id)
                 result = yield self.sim.process(
                     self.tier._write_replica(replacement, key, entry.payload, holders)
                 )
+                if result is None:
+                    continue  # the copy found no server: skip the block
                 entry.replicas = tuple(
                     r for r in entry.replicas if r[0] != failed_address
                 ) + (result,)
-                self.tier._record_replicas(key, entry.replicas)
+                if locations.get(key) == holders:
+                    self.tier._record_replicas(key, entry.replicas)
                 self.blocks_re_replicated.add()

@@ -29,17 +29,16 @@ class ReplicationPolicy:
         self.replication = replication
         self._outstanding: dict[str, int] = {server.address: 0 for server in self.servers}
 
-    def choose(self, exclude: typing.Collection[str] = ()) -> list["StorageServer"]:
+    def choose(self, exclude: typing.Collection[str] = ()) -> list["StorageServer"] | None:
         """Pick `replication` distinct servers, least-loaded first.
 
         `exclude` removes failed servers (fail-over re-replication).
+        Returns ``None``, claiming nothing, when fewer than `replication`
+        live servers remain.
         """
         candidates = [s for s in self.servers if s.address not in exclude and not s.failed]
         if len(candidates) < self.replication:
-            raise RuntimeError(
-                f"only {len(candidates)} healthy storage servers for "
-                f"{self.replication}-way replication"
-            )
+            return None
         candidates.sort(key=lambda s: (self._outstanding[s.address], s.address))
         chosen = candidates[: self.replication]
         for server in chosen:

@@ -3,7 +3,7 @@
 An :class:`~repro.params.SLOSpec` states an objective (availability,
 latency-under-threshold, goodput floor); an :class:`SLOMonitor` scores
 every completion record the middle tier feeds it
-(:meth:`~repro.middletier.base.MiddleTierServer._observe_completion`)
+(:meth:`~repro.middletier.base.MiddleTierServer._reply`)
 and keeps, per spec:
 
 - cumulative **error-budget accounting** — with objective ``target``,

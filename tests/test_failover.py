@@ -154,17 +154,9 @@ class TestRetryDeadlineEdges:
         message = WriteRequestFactory(testbed.platform, seed=FAULT_SEED).make()
         first = testbed.storage_servers[0]
         testbed.policy.claim(first)
-        errors = []
-
-        def attempt():
-            try:
-                yield from tier._write_replica(first, (0, 0), message.payload)
-            except RuntimeError as err:
-                errors.append(str(err))
-
-        sim.run(until=sim.process(attempt()))
-        assert len(errors) == 1  # bounded, despite deadline=inf
-        assert "no healthy storage server" in errors[0] or "short-circuited" in errors[0]
+        attempt = sim.process(tier._write_replica(first, (0, 0), message.payload))
+        sim.run(until=attempt)
+        assert attempt.value is None  # bounded, despite deadline=inf
         assert admission.short_circuits.value == len(testbed.storage_servers)
         for server in testbed.storage_servers:
             assert testbed.policy.outstanding(server) == 0, server.address
@@ -322,6 +314,50 @@ READ_TIERS = [
     lambda sim, testbed: SmartDsMiddleTier(sim, testbed, n_ports=1),
 ]
 READ_TIER_IDS = ["cpu-only", "acc", "bf2", "fpga-only", "bf3", "smartds"]
+
+
+def _stall(server, sim):
+    """Make `server` alive but too slow to ack a write in time."""
+    server.device = BlockDevice(sim, name=f"{server.address}.slow", write_latency=msec(50))
+
+
+class TestUnplaceableWrites:
+    """A write some copy of which finds no live server is answered
+    ``unavailable`` once, on every design, and the run goes on."""
+
+    @pytest.mark.parametrize(
+        "n_servers,broken,break_server",
+        [
+            (3, 1, lambda server, sim: server.fail()),  # choose() finds too few
+            (4, 2, lambda server, sim: server.fail()),
+            (3, 1, _stall),  # the slow copy times out with no replacement left
+        ],
+        ids=["3-servers-1-failed", "4-servers-2-failed", "no-replacement"],
+    )
+    @pytest.mark.parametrize("tier_factory", READ_TIERS, ids=READ_TIER_IDS)
+    def test_write_answers_unavailable(self, tier_factory, n_servers, broken, break_server):
+        sim = Simulator()
+        testbed = Testbed(sim, n_storage_servers=n_servers)
+        tier = tier_factory(sim, testbed)
+        for server in testbed.storage_servers[:broken]:
+            break_server(server, sim)
+        driver = ClientDriver(
+            sim,
+            tier,
+            WriteRequestFactory(testbed.platform, seed=FAULT_SEED),
+            concurrency=1,
+            warmup_fraction=0.0,
+        )
+        result = sim.run(until=driver.run(1))
+        sim.run()  # drains without raising
+        assert result.requests == 1
+        assert result.failures == ((0, "unavailable"),)
+        assert result.payload_bytes == 0
+        assert tier.writes_unavailable.value == 1
+        assert tier.requests_completed.value == 0
+        assert (0, 0) not in tier._block_locations
+        for server in testbed.storage_servers:
+            assert testbed.policy.outstanding(server) == 0, server.address
 
 
 def _read_trace(collector):

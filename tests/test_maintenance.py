@@ -100,6 +100,53 @@ class TestLsmCompaction:
             holders = tier._block_locations[(0, block_id)]
             assert victim not in holders and len(set(holders)) == 3
 
+    def test_unplaceable_block_keeps_its_retained_writes(self):
+        """With too few live servers to place a compacted block, the
+        block's retained writes stay in the log in order and none of
+        their locations is reclaimed; once servers return, it compacts."""
+        sim = Simulator()
+        testbed, tier, factory, driver = build(sim)
+        service = LsmCompactionService(sim, tier, threshold=8, scan_interval=msec(5))
+        gc_calls = []
+        real_gc = service._gc
+
+        def spy_gc(address, chunk_id, locations):
+            gc_calls.append((address, chunk_id, tuple(locations)))
+            return (yield from real_gc(address, chunk_id, locations))
+
+        service._gc = spy_gc
+
+        def writer():
+            for i in range(8):
+                yield from driver.request(factory.make(i % 4))
+
+        tier.start()
+        sim.run(until=sim.process(writer()))
+        retained = list(tier._chunk_log[0])
+        locations = dict(tier._block_locations)
+        down = testbed.storage_servers[:2]
+        for server in down:
+            server.fail()
+        sim.run(until=msec(12))  # two compaction passes, neither can place
+        assert service.compactions.value == 2
+        assert service.blocks_out.value == 0
+        assert tier._chunk_log[0] == retained
+        assert tier._block_locations == locations
+        assert gc_calls == []
+        for server in testbed.storage_servers:
+            assert testbed.policy.outstanding(server) == 0
+
+        for server in down:
+            server.recover()
+        sim.run(until=msec(17))
+        service.stop()
+        assert not tier._chunk_log.get(0)
+        assert service.blocks_out.value == 4
+        assert gc_calls
+        for block_id in range(4):
+            output = service._previous_output[(0, block_id)]
+            assert tier._block_locations[(0, block_id)] == tuple(a for a, _ in output)
+
     def test_bad_threshold_rejected(self):
         sim = Simulator()
         testbed, tier, factory, driver = build(sim)
@@ -209,6 +256,53 @@ class TestHeartbeatFailover:
             for entry in entries:
                 holders = {address for address, _ in entry.replicas}
                 assert victim.address not in holders and len(holders) == 3
+
+    def test_re_replication_copies_only_the_newest_version(self):
+        """A dead server that held an older version of a block does not
+        get that version copied elsewhere: every live server's latest
+        record of each block is unchanged or the newest version, and the
+        read path's map names the newest version's holders."""
+        sim = Simulator()
+        testbed, tier, factory, driver = build(sim, n_storage=6)
+        tier.retain_writes = True
+        monitor = HeartbeatMonitor(sim, tier, interval=msec(1), timeout=msec(1))
+
+        def writer(index):
+            for i in range(10):
+                yield from driver.request(factory.make((index + 3 * i) % 8))
+
+        tier.start()
+        sim.run(until=sim.all_of([sim.process(writer(index)) for index in range(6)]))
+        entries = tier._chunk_log[0]
+        newest = {entry.block_id: entry for entry in entries}
+        victim = next(
+            address
+            for entry in entries
+            for address, _ in entry.replicas
+            if address not in dict(newest[entry.block_id].replicas)
+        )
+        live = [server for server in testbed.storage_servers if server.address != victim]
+        before = {
+            (server.address, block_id): server.store.latest(0, block_id)
+            for server in live
+            for block_id in newest
+        }
+        testbed.server(victim).fail()
+        sim.run(until=sim.now + msec(20))
+        monitor.stop()
+
+        assert monitor.failures_detected.value == 1
+        for block_id, entry in newest.items():
+            holders = dict(entry.replicas)
+            assert tier._block_locations[(0, block_id)] == tuple(holders)
+            assert victim not in holders
+            for server in live:
+                record = server.store.latest(0, block_id)
+                if record is not before[(server.address, block_id)]:
+                    assert record.location == holders.get(server.address), (
+                        block_id,
+                        server.address,
+                    )
 
     def test_healthy_cluster_no_false_positives(self):
         sim = Simulator()

@@ -13,6 +13,9 @@
   ``repro.compute`` opens a port or endpoint or runs a reply loop.
 - One reply matcher on the tier: in ``repro.core`` and
   ``repro.middletier`` only ``ResponseMatcher`` reads ``in_reply_to``.
+- One way out of the tier: in ``repro.core`` and ``repro.middletier``
+  only ``MiddleTierServer._reply`` builds a ``write_reply`` or
+  ``read_reply``.
 - One replicated-write path: no module in ``repro.middletier`` builds a
   ``write_request`` message (only VMs send those), and only
   ``middletier/base.py`` assigns an entry of ``_block_locations``.
@@ -127,6 +130,25 @@ def test_only_the_response_matcher_reads_in_reply_to():
     assert len(hits) == 1 and "middletier/base.py" in hits[0], (
         "tier-side in_reply_to reads:\n  " + "\n  ".join(hits)
     )
+
+
+def test_only_the_tier_reply_routine_builds_client_replies():
+    kinds = {"write_reply", "read_reply"}
+    base = _PACKAGE / "middletier" / "base.py"
+    hits = []
+    for path, tree in _modules(_PACKAGE / "core", _PACKAGE / "middletier"):
+        allowed = {
+            id(node)
+            for function in ast.walk(tree)
+            if path == base and isinstance(function, ast.FunctionDef) and function.name == "_reply"
+            for node in ast.walk(function)
+        }
+        hits += [
+            f"{path}:{node.lineno}: {node.value!r}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and node.value in kinds and id(node) not in allowed
+        ]
+    assert not hits, "client replies built outside _reply:\n  " + "\n  ".join(hits)
 
 
 def _write_request_builds(path: pathlib.Path, tree: ast.Module) -> list[str]:

@@ -242,13 +242,13 @@ class TestReplicationPolicy:
         chosen = policy.choose()
         assert servers[0].address not in {s.address for s in chosen}
 
-    def test_too_few_healthy_servers_raises(self):
+    def test_too_few_healthy_servers_returns_none(self):
         sim = Simulator()
         servers = self._servers(sim, 3)
         servers[0].fail()
         policy = ReplicationPolicy(servers, replication=3)
-        with pytest.raises(RuntimeError):
-            policy.choose()
+        assert policy.choose() is None
+        assert all(policy.outstanding(server) == 0 for server in servers)
 
     def test_too_few_servers_rejected_at_build(self):
         sim = Simulator()
