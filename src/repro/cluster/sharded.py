@@ -121,9 +121,10 @@ class ShardedCluster:
         registry = registry_for(sim)
         if registry is not None:
             for tier in self.tiers:
+                # A shard removed from the directory reads 0.0: it owns nothing.
                 registry.gauge_callable(
                     "cluster.shard_heat",
-                    lambda address=tier.address: self.directory.shard_heat()[address],
+                    lambda address=tier.address: self.directory.shard_heat().get(address, 0.0),
                     component="cluster",
                     shard=tier.address,
                 )

@@ -7,7 +7,8 @@ it; these profiles carry the paper's calibration points:
   on one physical core reach ~2.7 Gb/s (§5.2);
 - each SmartDS FPGA engine processes 4 KB blocks at 100 Gb/s (§5.1);
 - the Alveo U280 accelerator engine also reaches ~100 Gb/s (§5.1);
-- BlueField-2's on-board compression engine delivers ~40 Gb/s (§3.4).
+- BlueField-2's on-board compression engine delivers ~40 Gb/s (§3.4);
+- cores decompress ~7x faster than they compress (§2.2.3).
 
 Compression *output size* comes from a ratio: either measured by really
 compressing the block's bytes (functional mode) or drawn from a
@@ -61,6 +62,10 @@ FPGA_ENGINE = CompressorProfile("fpga-engine", rate=gbps(100), setup_time=18e-6)
 #: BlueField-2's hardened compression engine (paper §3.4: ~40 Gb/s;
 #: an ASIC block, so its pipeline latency is short).
 BF2_ENGINE = CompressorProfile("bf2-engine", rate=gbps(40), setup_time=5e-6)
+#: LZ4 decompression on a general-purpose core (Xeon or Arm) runs this
+#: many times faster than compression (§2.2.3, [49]); engines are
+#: symmetric and take no speed-up.
+DECOMPRESSION_SPEEDUP = 7.0
 
 
 def compressed_size(nbytes: int, ratio: float) -> int:

@@ -69,6 +69,11 @@ class SmartDsMiddleTier(MiddleTierServer):
     #: control plane stays in host software (the design's raison d'etre).
     flexible = True
     split_replies = True
+    # The worker parses the header in host memory and posts the engine
+    # descriptor and the recv repost; the storage/reply sends are posted
+    # from the completion context when the engine finishes.
+    handoff_posts = 2
+    offload = True
 
     def __init__(
         self,
@@ -281,20 +286,11 @@ class SmartDsMiddleTier(MiddleTierServer):
 
     # -- the write path ----------------------------------------------------------
 
-    def _handle_write(
+    def _compress_and_complete(
         self, worker_index: int, qp: QueuePair, message: Message
     ) -> typing.Generator:
-        host = self.platform.host
-        if message.payload is None:
-            raise ValueError("write_request without payload")
-        # Parse the header in host memory; post the engine descriptor and
-        # the recv repost. The storage/reply sends are posted from the
-        # completion context when the engine finishes.
-        yield self.sim.timeout(host.parse_header_time)
-        yield self.sim.timeout(host.post_descriptor_time * 2)
-        self.sim.process(self._compress_and_complete(qp, message))
-
-    def _compress_and_complete(self, qp: QueuePair, message: Message) -> typing.Generator:
+        """``dev_func`` compresses the split-landed payload HBM to HBM;
+        the completion context posts the replica sends and the VM reply."""
         api = self.api
         entry = self._buffers.pop(message.request_id, None)
         posts = self.platform.storage.replication + 1

@@ -24,9 +24,7 @@ from repro.hostmodel.memory import MemorySubsystem
 from repro.hostmodel.pcie import PcieLink
 from repro.middletier.base import MiddleTierServer
 from repro.middletier.cluster import Testbed
-from repro.net.message import Message, Payload, compress_payload
 from repro.net.nic import HostNic
-from repro.net.roce import QueuePair
 from repro.sim.resources import Resource
 from repro.units import mib
 
@@ -43,6 +41,21 @@ class AcceleratorMiddleTier(MiddleTierServer):
 
     design_name = "Acc"
     flexible = True
+    # The worker posts the engine descriptor and moves on; the payload
+    # round-trips through the FPGA over its own PCIe link, and the CPU
+    # polls the completion and posts the storage sends.
+    write_legs = (
+        ("_ddio_read", "in"),
+        ("fpga_pcie.dma_read", "in"),
+        ("engine", "in"),
+        ("fpga_pcie.dma_write", "out"),
+        ("_ddio_write", "out"),
+    )
+    # Reads decompress on the same engine round trip.
+    read_legs = write_legs[:-1]
+    handoff_posts = 1
+    offload = True
+    host_posts = True
 
     def __init__(
         self,
@@ -87,52 +100,15 @@ class AcceleratorMiddleTier(MiddleTierServer):
         self.client_endpoint = self.nic.endpoint
         self.storage_endpoint = self.nic.endpoint
 
-    def _handle_write(
-        self, worker_index: int, qp: QueuePair, message: Message
-    ) -> typing.Generator:
-        host = self.platform.host
-        if message.payload is None:
-            raise ValueError("write_request without payload")
-        yield self.sim.timeout(host.parse_header_time)
-        # Post the engine descriptor and move on; a completion context
-        # finishes the request so the worker never blocks on the FPGA.
-        yield self.sim.timeout(host.post_descriptor_time)
-        self.sim.process(self._compress_and_complete(qp, message))
-
-    def _compress_and_complete(self, qp: QueuePair, message: Message) -> typing.Generator:
-        host = self.platform.host
-        payload = message.payload
-        if self._forward_raw(message):
-            outgoing = payload
-        else:
-            outgoing = yield from self._engine_compress(payload)
-        # The CPU polls the completion and posts the storage sends.
-        posts = self.platform.storage.replication + 1
-        yield self.sim.timeout(host.post_descriptor_time * posts)
-        self._spawn_completion(qp, message, outgoing)
-
-    def _engine_compress(self, payload: Payload) -> typing.Generator:
-        """Round-trip the payload through the FPGA over its own PCIe link."""
-        traffic = self.llc.dma_read(payload.size, self._fpga_read_ws)
+    def _ddio_read(self, nbytes: int) -> typing.Generator:
+        """The FPGA reads `nbytes` of host memory: DRAM serves what the
+        DDIO ways no longer hold."""
+        traffic = self.llc.dma_read(nbytes, self._fpga_read_ws)
         if traffic.dram_read:
             yield from self.memory.read(traffic.dram_read)
-        yield from self.fpga_pcie.dma_read(payload.size)
-        yield from self._engine_pass(self.engine, self._engine_profile, payload.size)
-        outgoing = compress_payload(payload)
-        yield from self.fpga_pcie.dma_write(outgoing.size)
-        traffic = self.llc.dma_write(
-            outgoing.size, self.platform.workload.intermediate_buffer_bytes
-        )
+
+    def _ddio_write(self, nbytes: int) -> typing.Generator:
+        """The FPGA writes `nbytes` back into the intermediate buffer."""
+        traffic = self.llc.dma_write(nbytes, self.platform.workload.intermediate_buffer_bytes)
         if traffic.dram_write:
             yield from self.memory.write(traffic.dram_write)
-        return outgoing
-
-    def _decompress_cost(self, worker_index: int, payload: Payload) -> typing.Generator:
-        """Reads decompress on the engine too (same PCIe round trip)."""
-        traffic = self.llc.dma_read(payload.size, self._fpga_read_ws)
-        if traffic.dram_read:
-            yield from self.memory.read(traffic.dram_read)
-        yield from self.fpga_pcie.dma_read(payload.size)
-        yield from self._engine_pass(self.engine, self._engine_profile, payload.size)
-        original = payload.original_size or payload.size
-        yield from self.fpga_pcie.dma_write(original)

@@ -291,11 +291,6 @@ class BrownoutController:
             self._level = level
         return level
 
-    @property
-    def level_name(self) -> str:
-        """Human-readable name of the current ladder level."""
-        return LEVEL_NAMES[self.current_level()]
-
 
 class Bulkhead:
     """The pacing gate between maintenance services and the foreground.

@@ -10,22 +10,26 @@ All middle-tier designs serve the same protocol (§2.2):
   replica, decompress, reply.
 
 What differs between designs is *where* bytes live and *which* hardware
-pays for parsing, compression, and data movement — subclasses implement
-those hooks while this base class owns dispatch, worker pools,
-replication with time-out driven fail-over, and completion matching.
+pays for parsing, compression, and data movement. Subclasses build that
+hardware and declare it as data (the payload's write and read legs, who
+parses and who posts); this base class runs the declaration and owns
+dispatch, worker pools, replication with time-out driven fail-over, and
+completion matching.
 """
 
 from __future__ import annotations
 
 import abc
 import dataclasses
+import operator
 import typing
 from collections import OrderedDict, deque
 
+from repro.compression.model import DECOMPRESSION_SPEEDUP
 from repro.middletier.admission import AdmissionController
 from repro.middletier.cluster import Testbed
 from repro.middletier.retry import RetryPolicy
-from repro.net.message import Message, Payload, decompress_payload
+from repro.net.message import Message, Payload, compress_payload, decompress_payload
 from repro.net.roce import QueuePair, RoceEndpoint
 from repro.params import PlatformSpec
 from repro.sim.events import AnyOf, Event
@@ -280,26 +284,56 @@ class MiddleTierServer(abc.ABC):
         ``self.storage_endpoint`` (the endpoint used towards storage —
         often the same object)."""
 
-    @abc.abstractmethod
-    def _handle_write(
-        self, worker_index: int, qp: QueuePair, message: Message
+    # -- the design as data (docs/architecture.md, "Where the designs differ")
+
+    #: The payload's legs through the design's hardware as ``(step,
+    #: side)`` pairs, run in order by :meth:`_run_legs`: `step` is
+    #: ``"engine"`` (a pass through ``self.engine``), ``"cores"`` (worker
+    #: time at ``self.core_rates[worker]``) or the dotted name of a
+    #: generator leg on the tier (``"memory.read"``, ``"fpga_pcie.dma_write"``);
+    #: `side` says whether the leg moves the bytes going in (``"in"``) or
+    #: coming out (``"out"``) of the transform.
+    write_legs: tuple[tuple[str, str], ...] = ()
+    read_legs: tuple[tuple[str, str], ...] = ()
+    #: Host descriptors a worker posts to hand a write on (engine
+    #: descriptor, recv repost) before it takes the next request.
+    handoff_posts = 0
+    #: Whether a write's legs run off-worker (an engine completes them)
+    #: instead of holding the worker.
+    offload = False
+    #: Whether host software posts the replica sends and the VM ack
+    #: (``replication + 1`` descriptors) once the legs are done.
+    host_posts = False
+    #: Per-worker core compression rates (bytes/s) of designs with a
+    #: ``"cores"`` leg.
+    core_rates: typing.Sequence[float] = ()
+
+    @property
+    def parse_time(self) -> float:
+        """Seconds to parse one write header (host software by default)."""
+        return self.platform.host.parse_header_time
+
+    def _run_legs(
+        self,
+        legs: typing.Iterable[tuple[str, str]],
+        worker_index: int,
+        nin: int,
+        nout: int,
+        read: bool = False,
     ) -> typing.Generator:
-        """Worker-synchronous part of serving one write request.
-
-        Must end by calling :meth:`_spawn_completion` with the payload
-        to persist (compressed or raw), then return so the worker can
-        pick up the next request.
-        """
-
-    def _decompress_cost(self, worker_index: int, payload: Payload) -> typing.Generator:
-        """Charge the design's resources for decompressing one payload.
-
-        Default: free (subclasses charge CPU/engine time). The ~7x
-        CPU-decompression speed advantage (§2.2.3) is modeled where a
-        design overrides this.
-        """
-        return
-        yield  # pragma: no cover - generator form
+        """``yield from`` body: move one payload through `legs`, `nin`
+        bytes in and `nout` bytes out; `read` runs them as a decompress."""
+        for step, side in legs:
+            nbytes = nin if side == "in" else nout
+            if step == "engine":
+                yield from self._engine_pass(self.engine, self._engine_profile, nbytes)
+            elif step == "cores":
+                rate = self.core_rates[worker_index]
+                yield self.sim.timeout(
+                    nbytes / (rate * DECOMPRESSION_SPEEDUP) if read else nbytes / rate
+                )
+            else:
+                yield from operator.attrgetter(step)(self)(nbytes)
 
     def _engine_pass(
         self, engine: Resource, profile: "CompressorProfile", nbytes: int
@@ -486,6 +520,39 @@ class MiddleTierServer(abc.ABC):
                 self._latency_hist.observe(latency)
         for monitor in self._slo_monitors:
             monitor.record(message.kind, status, latency=latency, nbytes=nbytes)
+
+    # -- the write path -----------------------------------------------------
+
+    def _handle_write(
+        self, worker_index: int, qp: QueuePair, message: Message
+    ) -> typing.Generator:
+        """Worker part of one write: parse the header, post the hand-off
+        descriptors, then compress on the worker or hand off (:attr:`offload`)."""
+        if message.payload is None:
+            raise ValueError("write_request without payload")
+        yield self.sim.timeout(self.parse_time)
+        if self.handoff_posts:
+            yield self.sim.timeout(self.platform.host.post_descriptor_time * self.handoff_posts)
+        if self.offload:
+            self.sim.process(self._compress_and_complete(worker_index, qp, message))
+        else:
+            yield from self._compress_and_complete(worker_index, qp, message)
+
+    def _compress_and_complete(
+        self, worker_index: int, qp: QueuePair, message: Message
+    ) -> typing.Generator:
+        """Run the write legs (unless the write goes raw), post the host
+        sends and start replication."""
+        payload = message.payload
+        if self._forward_raw(message):
+            outgoing = payload
+        else:
+            outgoing = compress_payload(payload)
+            yield from self._run_legs(self.write_legs, worker_index, payload.size, outgoing.size)
+        if self.host_posts:
+            posts = self.platform.storage.replication + 1  # replicas + VM ack
+            yield self.sim.timeout(self.platform.host.post_descriptor_time * posts)
+        self._spawn_completion(qp, message, outgoing)
 
     # -- write completion: replication, fail-over, VM ack --------------------
 
@@ -918,12 +985,14 @@ class MiddleTierServer(abc.ABC):
         `landed` is the device buffer the reply's payload landed in, or
         ``None`` (this hook releases it);
         `entry` is the pinned cache entry on a hit (the read loop
-        releases it). This default charges :meth:`_decompress_cost` and
-        decompresses in software.
+        releases it). This default runs the design's :attr:`read_legs`.
         """
         if payload.is_compressed:
             dec_span = None if span is None else span.child("decompress")
-            yield from self._decompress_cost(worker_index, payload)
+            original = payload.original_size or payload.size
+            yield from self._run_legs(
+                self.read_legs, worker_index, payload.size, original, read=True
+            )
             payload = decompress_payload(payload)
             if dec_span is not None:
                 dec_span.finish(nbytes=payload.size)

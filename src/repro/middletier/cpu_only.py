@@ -16,15 +16,10 @@ from repro.hostmodel.cpu import CpuComplex
 from repro.hostmodel.memory import MemorySubsystem
 from repro.middletier.base import MiddleTierServer
 from repro.middletier.cluster import Testbed
-from repro.net.message import Message, Payload, compress_payload
 from repro.net.nic import HostNic
-from repro.net.roce import QueuePair
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.kernel import Simulator
-
-#: CPU LZ4 decompression runs >7x faster than compression (§2.2.3, [49]).
-_DECOMPRESSION_SPEEDUP = 7.0
 
 
 class CpuOnlyMiddleTier(MiddleTierServer):
@@ -33,6 +28,12 @@ class CpuOnlyMiddleTier(MiddleTierServer):
     design_name = "CPU-only"
     #: control plane runs entirely in host software.
     flexible = True
+    # The DMA ring is long evicted (§3.2): a worker core streams the
+    # payload from DRAM and writes the result back for NIC egress.
+    # Core time counts uncompressed bytes both ways.
+    write_legs = (("memory.read", "in"), ("cores", "in"), ("memory.write", "out"))
+    read_legs = (("memory.read", "in"), ("cores", "out"), ("memory.write", "out"))
+    host_posts = True
 
     def __init__(
         self,
@@ -47,6 +48,9 @@ class CpuOnlyMiddleTier(MiddleTierServer):
         self._shared_memory = memory
         self.cpu = CpuComplex(testbed.platform.host)
         self.cpu.validate_thread_count(n_workers)
+        self.core_rates = [
+            self.cpu.compression_profile(index, n_workers).rate for index in range(n_workers)
+        ]
         super().__init__(sim, testbed, n_workers, address=address)
 
     def _build(self) -> None:
@@ -66,32 +70,3 @@ class CpuOnlyMiddleTier(MiddleTierServer):
         )
         self.client_endpoint = self.nic.endpoint
         self.storage_endpoint = self.nic.endpoint
-
-    def _handle_write(
-        self, worker_index: int, qp: QueuePair, message: Message
-    ) -> typing.Generator:
-        host = self.platform.host
-        payload = message.payload
-        if payload is None:
-            raise ValueError("write_request without payload")
-        yield self.sim.timeout(host.parse_header_time)
-        if self._forward_raw(message):
-            outgoing = payload  # forwarded raw (Listing 1 / brownout rung 3)
-        else:
-            profile = self.cpu.compression_profile(worker_index, self.n_workers)
-            # The DMA ring is long evicted (§3.2): compression streams the
-            # payload from DRAM and writes the result back for NIC egress.
-            yield from self.memory.read(payload.size)
-            yield self.sim.timeout(profile.time_for(payload.size))
-            outgoing = compress_payload(payload)
-            yield from self.memory.write(outgoing.size)
-        posts = self.platform.storage.replication + 1  # replicas + VM ack
-        yield self.sim.timeout(host.post_descriptor_time * posts)
-        self._spawn_completion(qp, message, outgoing)
-
-    def _decompress_cost(self, worker_index: int, payload: Payload) -> typing.Generator:
-        profile = self.cpu.compression_profile(worker_index, self.n_workers)
-        original = payload.original_size or payload.size
-        yield from self.memory.read(payload.size)
-        yield self.sim.timeout(original / (profile.rate * _DECOMPRESSION_SPEEDUP))
-        yield from self.memory.write(original)

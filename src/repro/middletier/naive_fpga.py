@@ -13,24 +13,25 @@ from __future__ import annotations
 import typing
 
 from repro.compression.model import FPGA_ENGINE, CompressorProfile
-from repro.hostmodel.memory import MemorySubsystem
+from repro.middletier.base import MiddleTierServer
 from repro.middletier.cluster import Testbed
-from repro.middletier.soc_smartnic import DeviceMemoryDatapath, OnBoardEngineTier
-from repro.net.link import NetworkPort
-from repro.net.roce import RoceEndpoint
+from repro.middletier.soc_smartnic import ENGINE_LEGS, build_card
 from repro.sim.resources import Resource
-from repro.units import kib
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.kernel import Simulator
 
 
-class NaiveFpgaMiddleTier(OnBoardEngineTier):
+class NaiveFpgaMiddleTier(MiddleTierServer):
     """Everything-in-gateware offload; the paper's Fig. 1c strawman."""
 
     design_name = "FPGA-only"
     #: the control plane is hardware: fast, but it cannot iterate.
     flexible = False
+    # Gateware parses the header in place and hands the block to the
+    # engine pool; payloads never leave device memory.
+    write_legs = read_legs = ENGINE_LEGS
+    offload = True
 
     def __init__(
         self,
@@ -41,32 +42,18 @@ class NaiveFpgaMiddleTier(OnBoardEngineTier):
         engine_profile: CompressorProfile = FPGA_ENGINE,
     ) -> None:
         self._engine_profile = engine_profile
-        self._parse_time = testbed.platform.smartds.hw_parse_time  # gateware
         # `n_workers` is the number of parallel hardware pipelines, each
         # with a dedicated compression engine.
         super().__init__(sim, testbed, n_workers, address=address)
 
+    @property
+    def parse_time(self) -> float:
+        return self.platform.smartds.hw_parse_time  # gateware
+
     def _build(self) -> None:
         spec = self.platform.smartds  # same VCU128 board as SmartDS
-        self.device_memory = MemorySubsystem(
-            self.sim,
-            rate=spec.hbm_rate,
-            lanes=spec.hbm_lanes,
-            chunk=kib(64),
-            name=f"{self.address}.hbm",
-        )
-        self.port = NetworkPort(
-            self.sim, rate=self.platform.network.port_rate, name=f"{self.address}.port"
-        )
-        endpoint = RoceEndpoint(
-            self.sim,
-            self.port,
-            self.address,
-            datapath=DeviceMemoryDatapath(self.device_memory),
-            spec=self.platform.network,
-        )
+        port_rate = self.platform.network.port_rate
+        build_card(self, spec.hbm_rate, spec.hbm_lanes, "hbm", port_rate)
         # One compression engine per hardware pipeline; blocks stream
         # through them (the engine's setup latency pipelines).
         self.engine = Resource(self.sim, capacity=self.n_workers, name=f"{self.address}.engines")
-        self.client_endpoint = endpoint
-        self.storage_endpoint = endpoint

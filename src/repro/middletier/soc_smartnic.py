@@ -16,13 +16,17 @@ from repro.hostmodel.memory import MemorySubsystem
 from repro.middletier.base import MiddleTierServer
 from repro.middletier.cluster import Testbed
 from repro.net.link import NetworkPort
-from repro.net.message import Message, Payload, compress_payload
+from repro.net.message import Message
 from repro.net.roce import Datapath, QueuePair, RoceEndpoint
 from repro.sim.resources import Resource
 from repro.units import kib
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.kernel import Simulator
+
+#: An on-board engine pass in device memory, both ways (§3.4's passes):
+#: read the payload, stream it through an engine slot, write the result.
+ENGINE_LEGS = (("device_memory.read", "in"), ("engine", "in"), ("device_memory.write", "out"))
 
 
 class DeviceMemoryDatapath(Datapath):
@@ -40,58 +44,36 @@ class DeviceMemoryDatapath(Datapath):
         return None
 
 
-class OnBoardEngineTier(MiddleTierServer):
-    """Engine datapath shared by the designs whose payloads stay in
-    on-board device memory and compress on the card's engine pool:
-    BF2 and FPGA-only. They differ in who parses the header.
-
-    A subclass's ``_build`` creates ``device_memory`` and ``engine`` (a
-    :class:`Resource` of engine slots); its ``__init__`` sets the engine
-    profile and the header parse time.
-    """
-
-    _engine_profile: CompressorProfile
-    _parse_time: float
-
-    def _handle_write(
-        self, worker_index: int, qp: QueuePair, message: Message
-    ) -> typing.Generator:
-        if message.payload is None:
-            raise ValueError("write_request without payload")
-        # Parse the header in place (a few bytes of device memory), hand
-        # the block to the engine pool, and move on to the next message.
-        yield self.sim.timeout(self._parse_time)
-        self.sim.process(self._compress_and_complete(qp, message))
-
-    def _compress_and_complete(self, qp: QueuePair, message: Message) -> typing.Generator:
-        payload = message.payload
-        if self._forward_raw(message):
-            outgoing = payload
-        else:
-            outgoing = yield from self._engine_compress(payload)
-        self._spawn_completion(qp, message, outgoing)
-
-    def _engine_compress(self, payload: Payload) -> typing.Generator:
-        """Off-path engine: device-memory read, compress, device-memory
-        write (§3.4's passes)."""
-        yield from self.device_memory.read(payload.size)
-        yield from self._engine_pass(self.engine, self._engine_profile, payload.size)
-        outgoing = compress_payload(payload)
-        yield from self.device_memory.write(outgoing.size)
-        return outgoing
-
-    def _decompress_cost(self, worker_index: int, payload: Payload) -> typing.Generator:
-        yield from self.device_memory.read(payload.size)
-        yield from self._engine_pass(self.engine, self._engine_profile, payload.size)
-        yield from self.device_memory.write(payload.original_size or payload.size)
+def build_card(
+    tier: MiddleTierServer, rate: float, lanes: int, memory_name: str, port_rate: float
+) -> None:
+    """Give a SmartNIC `tier` its card: device memory, one network port,
+    and one endpoint whose messages land in that memory."""
+    tier.device_memory = MemorySubsystem(
+        tier.sim, rate=rate, lanes=lanes, chunk=kib(64), name=f"{tier.address}.{memory_name}"
+    )
+    tier.port = NetworkPort(tier.sim, rate=port_rate, name=f"{tier.address}.port")
+    endpoint = RoceEndpoint(
+        tier.sim,
+        tier.port,
+        tier.address,
+        datapath=DeviceMemoryDatapath(tier.device_memory),
+        spec=tier.platform.network,
+    )
+    tier.client_endpoint = endpoint
+    tier.storage_endpoint = endpoint
 
 
-class BlueField2MiddleTier(OnBoardEngineTier):
+class BlueField2MiddleTier(MiddleTierServer):
     """The paper's "BF2" baseline: SoC SmartNIC with on-board engine."""
 
     design_name = "BF2"
     #: control plane runs on embedded Arm cores — flexible but wimpy.
     flexible = True
+    # An Arm core parses the header in place and hands the block to the
+    # engine; nothing touches the host.
+    write_legs = read_legs = ENGINE_LEGS
+    offload = True
 
     def __init__(
         self,
@@ -105,28 +87,17 @@ class BlueField2MiddleTier(OnBoardEngineTier):
         if n_workers > arm_cores:
             raise ValueError(f"BlueField-2 has {arm_cores} Arm cores, asked for {n_workers}")
         self._engine_profile = engine_profile
-        self._parse_time = testbed.platform.bluefield2.arm_parse_time  # Arm core
         super().__init__(sim, testbed, n_workers, address=address)
+
+    @property
+    def parse_time(self) -> float:
+        return self.platform.bluefield2.arm_parse_time
 
     def _build(self) -> None:
         spec = self.platform.bluefield2
-        self.device_memory = MemorySubsystem(
-            self.sim,
-            rate=spec.device_memory_rate,
-            lanes=spec.device_memory_lanes,
-            chunk=kib(64),
-            name=f"{self.address}.ddr",
-        )
-        self.port = NetworkPort(
-            self.sim, rate=self.platform.network.port_rate, name=f"{self.address}.port"
-        )
-        datapath = DeviceMemoryDatapath(self.device_memory)
-        endpoint = RoceEndpoint(
-            self.sim, self.port, self.address, datapath=datapath, spec=self.platform.network
-        )
+        port_rate = self.platform.network.port_rate
+        build_card(self, spec.device_memory_rate, spec.device_memory_lanes, "ddr", port_rate)
         self.engine = Resource(self.sim, capacity=1, name=f"{self.address}.engine")
-        self.client_endpoint = endpoint
-        self.storage_endpoint = endpoint
 
 
 class BlueField3MiddleTier(MiddleTierServer):
@@ -140,6 +111,10 @@ class BlueField3MiddleTier(MiddleTierServer):
 
     design_name = "BF3"
     flexible = True
+    # Compression runs ON the Arm core: the worker is busy for the whole
+    # block (this is the §3.4 bottleneck).
+    write_legs = (("device_memory.read", "in"), ("cores", "in"), ("device_memory.write", "out"))
+    read_legs = (("device_memory.read", "in"), ("cores", "out"), ("device_memory.write", "out"))
 
     def __init__(
         self,
@@ -152,51 +127,13 @@ class BlueField3MiddleTier(MiddleTierServer):
         workers = spec.arm_cores if n_workers is None else n_workers
         if workers > spec.arm_cores:
             raise ValueError(f"BlueField-3 has {spec.arm_cores} Arm cores, asked for {workers}")
+        self.core_rates = [spec.per_core_compression_rate] * workers
         super().__init__(sim, testbed, workers, address=address)
+
+    @property
+    def parse_time(self) -> float:
+        return self.platform.bluefield3.arm_parse_time
 
     def _build(self) -> None:
         spec = self.platform.bluefield3
-        self.device_memory = MemorySubsystem(
-            self.sim,
-            rate=spec.device_memory_rate,
-            lanes=spec.device_memory_lanes,
-            chunk=kib(64),
-            name=f"{self.address}.ddr",
-        )
-        self.port = NetworkPort(self.sim, rate=spec.port_rate, name=f"{self.address}.port")
-        endpoint = RoceEndpoint(
-            self.sim,
-            self.port,
-            self.address,
-            datapath=DeviceMemoryDatapath(self.device_memory),
-            spec=self.platform.network,
-        )
-        self.client_endpoint = endpoint
-        self.storage_endpoint = endpoint
-
-    def _handle_write(
-        self, worker_index: int, qp: QueuePair, message: Message
-    ) -> typing.Generator:
-        spec = self.platform.bluefield3
-        payload = message.payload
-        if payload is None:
-            raise ValueError("write_request without payload")
-        yield self.sim.timeout(spec.arm_parse_time)
-        if self._forward_raw(message):
-            outgoing = payload
-        else:
-            # Compression runs ON the Arm core: the worker is busy for
-            # the whole block (this is the §3.4 bottleneck).
-            yield from self.device_memory.read(payload.size)
-            yield self.sim.timeout(payload.size / spec.per_core_compression_rate)
-            outgoing = compress_payload(payload)
-            yield from self.device_memory.write(outgoing.size)
-        self._spawn_completion(qp, message, outgoing)
-
-    def _decompress_cost(self, worker_index: int, payload: Payload) -> typing.Generator:
-        spec = self.platform.bluefield3
-        original = payload.original_size or payload.size
-        yield from self.device_memory.read(payload.size)
-        # Arm decompression, ~7x faster than compression (§2.2.3).
-        yield self.sim.timeout(original / (spec.per_core_compression_rate * 7))
-        yield from self.device_memory.write(original)
+        build_card(self, spec.device_memory_rate, spec.device_memory_lanes, "ddr", spec.port_rate)

@@ -111,17 +111,6 @@ class BandwidthServer:
         for ledger in self._ledgers:
             ledger.record(f"{self.name}.{suffix}", flow, nbytes)
 
-    def service_time(self, nbytes: int) -> float:
-        """Time one lane is *occupied* pushing `nbytes` (without queueing).
-
-        The per-transfer overhead is propagation latency: it delays the
-        transfer's completion but does not occupy the lane (the pipe
-        keeps serving others while earlier bits are in flight).
-        """
-        # Same expression as transfer(), so the estimate is bit-identical
-        # to the simulated occupancy.
-        return nbytes * self.lanes / self.rate
-
     def transfer(
         self,
         nbytes: int,

@@ -607,6 +607,21 @@ class TestShardedClusterConstruction:
             "value"
         ] == float(cluster.directory.version)
 
+    def test_departed_shard_heat_probe_reads_zero(self):
+        # The churn cell of ext_cluster removes a shard while the gauge
+        # sampler keeps reading every shard's probe.
+        sim = Simulator()
+        registry = MetricsRegistry().attach(sim)
+        cluster = build_cluster(sim, 3)
+        cluster.directory.rebalance(range(8))
+        cluster.directory.remove_shard("shard2")
+        gauges = registry.sample_now(sim.now)["gauges"]
+        heat = {key: value for key, value in gauges.items() if "cluster.shard_heat" in key}
+        assert len(heat) == 3
+        departed = [value for key, value in heat.items() if "shard2" in key]
+        assert departed == [0.0]
+        assert sum(heat.values()) == pytest.approx(sum(cluster.directory.shard_heat().values()))
+
     def test_slo_accessors_without_platform_slos(self):
         sim = Simulator()
         cluster = build_cluster(sim, 2)

@@ -22,6 +22,11 @@
 - Every field of every spec dataclass in ``repro.params`` is read
   somewhere under ``src/repro``: a field nothing reads is a knob that
   changes nothing.
+- Designs as data: the write front half (``_handle_write``) and the leg
+  runner live in ``middletier/base.py``; no design defines
+  ``_engine_compress`` or ``_decompress_cost``, and only SmartDS
+  (``core/server.py``) overrides ``_compress_and_complete``. The 7x
+  decompression figure is spelled only in ``compression/model.py``.
 """
 
 import ast
@@ -230,3 +235,61 @@ def test_every_spec_field_is_read():
         if field.name not in read
     ]
     assert not unread, "spec fields nothing reads:\n  " + "\n  ".join(unread)
+
+
+def _function_defs(tree: ast.Module, names: set[str]) -> list[ast.FunctionDef]:
+    return [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name in names
+    ]
+
+
+def test_designs_declare_legs_instead_of_writing_the_write_path():
+    base = _PACKAGE / "middletier" / "base.py"
+    server = _PACKAGE / "core" / "server.py"
+    offenders = []
+    for path, tree in _modules(_PACKAGE / "middletier", _PACKAGE / "core"):
+        # One write front half and one leg runner, both in the base.
+        banned = {"_engine_compress", "_decompress_cost"}
+        if path != base:
+            banned.add("_handle_write")
+        # SmartDS keeps its split-specific completion.
+        if path not in (base, server):
+            banned.add("_compress_and_complete")
+        offenders += [
+            f"{path}:{node.lineno}: def {node.name}" for node in _function_defs(tree, banned)
+        ]
+    assert not offenders, "per-design write/decompress hooks:\n  " + "\n  ".join(offenders)
+
+
+def _sevenfold_literals(path: pathlib.Path, tree: ast.Module) -> list[str]:
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Mult, ast.Div)):
+            operands = [node.left, node.right]
+        elif isinstance(node, ast.Assign) and any(
+            "DECOMPRESS" in getattr(target, "id", "").upper() for target in node.targets
+        ):
+            operands = [node.value]
+        else:
+            continue
+        found += [
+            f"{path}:{node.lineno}: {ast.unparse(node)}"
+            for operand in operands
+            if isinstance(operand, ast.Constant) and operand.value == 7
+        ]
+    return found
+
+
+def test_the_decompression_speedup_is_spelled_once():
+    """The §2.2.3 "decompression is ~7x faster" figure lives only in
+    ``compression/model.py`` (``DECOMPRESSION_SPEEDUP``)."""
+    model = _PACKAGE / "compression" / "model.py"
+    offenders = [
+        hit for path, tree in _modules() if path != model for hit in _sevenfold_literals(path, tree)
+    ]
+    assert not offenders, "7x decompression figure outside model.py:\n  " + "\n  ".join(
+        offenders
+    )
+    assert _sevenfold_literals(model, ast.parse(model.read_text()))

@@ -8,7 +8,9 @@ attempt with exactly one ``ok``, and an unavailable read's critical
 path names the give-up stage.
 """
 
+import collections
 import json
+import sys
 import time
 
 import pytest
@@ -503,33 +505,31 @@ class TestZeroCostDiscipline:
         # than one object per iteration (n * 16 bytes minimum).
         assert after - before < 4096
 
-    def test_untraced_hot_path_within_five_percent_of_uninstrumented(self):
-        """The guarded hot path times within 5% of the same path unguarded.
+    def test_untraced_hot_path_makes_no_extra_calls(self):
+        """The guarded hot path makes exactly the calls of the unguarded one.
 
         The measured unit is the real generator hot-path slice (build a
         request message and its reply event, as ``workloads.generators``
         does per request); the guarded variant adds the two telemetry
-        checks that slice executes when tracing is off. Samples are
-        interleaved within every round, and the variant that goes first
-        alternates from round to round, so drift in machine load and any
-        first-in-round penalty hit both variants equally; min-of-rounds
-        absorbs the remaining noise.
+        checks that slice executes when tracing is off. Counting the
+        Python and C calls each variant makes under ``sys.setprofile``
+        is deterministic, where a wall-clock A/B of the two loops is at
+        the mercy of a shared host: an untraced guard that made even one
+        call (a property, a lookup helper) per request shows up as ``n``
+        extra calls.
         """
         sim = Simulator()
-        n = 20_000
+        n = 200
 
         def plain():
             event = sim.event
-            started = time.perf_counter()
             for seq in range(n):
                 message = Message("write_request", "a", "b")
                 event(name="reply")
-            return time.perf_counter() - started
 
         def guarded():
             event = sim.event
             collector = sim._span_collector
-            started = time.perf_counter()
             for seq in range(n):
                 message = Message("write_request", "a", "b")
                 if collector is not None:  # generator instrumentation site
@@ -537,16 +537,21 @@ class TestZeroCostDiscipline:
                 if message.span is not None:  # transport instrumentation site
                     raise AssertionError("untraced message grew a span")
                 event(name="reply")
-            return time.perf_counter() - started
 
-        plain()  # warm up allocator and caches
-        guarded()
-        best_plain = best_guarded = float("inf")
-        for round_index in range(15):
-            if round_index % 2:
-                best_guarded = min(best_guarded, guarded())
-                best_plain = min(best_plain, plain())
-            else:
-                best_plain = min(best_plain, plain())
-                best_guarded = min(best_guarded, guarded())
-        assert best_guarded <= best_plain * 1.05
+        def calls(loop):
+            counts = collections.Counter()
+
+            def profile(frame, what, arg):
+                if what in ("call", "c_call"):
+                    counts[what] += 1
+
+            sys.setprofile(profile)
+            try:
+                loop()
+            finally:
+                sys.setprofile(None)
+            return counts
+
+        plain_calls = calls(plain)
+        assert plain_calls["call"] >= 2 * n  # the profiler saw the loop's work
+        assert calls(guarded) == plain_calls
