@@ -4,13 +4,11 @@
 Two compute servers host two VMs each; their storage agents shard
 segments across two SmartDS-equipped middle-tier servers, which
 replicate into the shared storage cluster. Guests write and read real
-bytes through the full stack; the run closes with the fleet-level
-numbers the paper's abstract argues about (servers and watts per Gb/s).
+bytes through the full stack, and every block is checked on the way back.
 
 Run:  python examples/full_cloud.py
 """
 
-from repro.analysis import efficiency_table, plan_fleet
 from repro.compression import SilesiaLikeCorpus
 from repro.compute import StorageAgent, VirtualMachine
 from repro.compute.agent import SegmentAllocator
@@ -19,7 +17,7 @@ from repro.middletier import Testbed
 from repro.params import DEFAULT_PLATFORM
 from repro.sim import Simulator
 from repro.telemetry.reporting import format_table
-from repro.units import gbps, to_usec
+from repro.units import to_usec
 
 
 def main():
@@ -89,22 +87,6 @@ def main():
     per_tier = [tier.requests_completed.value for tier in tiers]
     print(f"\nrequests per middle tier (segment sharding): {per_tier}")
     print("every block verified bit-for-bit after a full write/read cycle")
-
-    # --- zoom out: what this means for a 100k-server middle tier --------
-    traffic = gbps(5_400_000 / 1000)  # a PB-scale cloud's storage traffic
-    cpu_fleet = plan_fleet("CPU-only", gbps(63.5), traffic)
-    smartds_fleet = plan_fleet("SmartDS x8", gbps(2620), traffic)
-    print(
-        f"\ncarrying {5400:.0f} Gb/s of storage traffic:"
-        f" {cpu_fleet.servers} CPU-only servers vs"
-        f" {smartds_fleet.servers} SmartDS servers"
-        f" ({cpu_fleet.servers / smartds_fleet.servers:.0f}x fewer)"
-    )
-    print("\nenergy efficiency at peak (measured Fig. 7/10 throughputs):")
-    for design, watts, wpg in efficiency_table(
-        {"CPU-only": 63.5, "BF2": 40.0, "SmartDS-1": 65.4, "SmartDS-6": 396.6}
-    ):
-        print(f"  {design:10s} {watts:5.0f} W  ->  {wpg:5.2f} W per Gb/s")
 
 
 if __name__ == "__main__":

@@ -148,13 +148,6 @@ class SegmentDirectory:
         self._overrides[segment_id] = address
         self._bump()
 
-    def unpin_segment(self, segment_id: int) -> None:
-        """Return a pinned segment to ring placement."""
-        if segment_id not in self._overrides:
-            raise ValueError(f"segment {segment_id} is not pinned")
-        del self._overrides[segment_id]
-        self._bump()
-
     def rebalance(self, segment_ids: typing.Iterable[int]) -> None:
         """Pin `segment_ids` round-robin across the member shards.
 

@@ -195,11 +195,6 @@ class ShardedCluster:
             raise KeyError(f"no shard {address!r}")
         return self._storage_groups[address]
 
-    def slo_monitors(self) -> dict[str, typing.Any]:
-        """Each shard's own SLO monitor, by address (``None`` entries
-        when the platform declares no SLOs)."""
-        return {tier.address: tier.slo for tier in self.tiers}
-
     def slo_verdicts(self) -> dict[str, dict]:
         """Per-shard SLO verdicts — the blast-radius view: a killed
         shard burns its own error budget while healthy shards' budgets

@@ -17,7 +17,6 @@ import dataclasses
 import random
 import typing
 
-from repro.compression.lz4 import lz4_compress
 
 _WORDS = (
     "the of and a to in is was he that it his her you as had with for she not "
@@ -227,23 +226,3 @@ class SilesiaLikeCorpus:
             for start in range(0, len(data) - block_size + 1, block_size):
                 out.append(data[start : start + block_size])
         return out
-
-    def block_ratios(self, block_size: int = 4096, sample_limit: int = 256) -> list[float]:
-        """Per-block LZ4 compression ratios (uncompressed / compressed).
-
-        Compressing every block of a large corpus in pure Python is slow,
-        so at most `sample_limit` evenly spaced blocks are measured.
-        """
-        blocks = self.blocks(block_size)
-        if not blocks:
-            return []
-        stride = max(1, len(blocks) // sample_limit)
-        sampled = blocks[::stride][:sample_limit]
-        return [len(block) / len(lz4_compress(block)) for block in sampled]
-
-    def aggregate_ratio(self, block_size: int = 4096, sample_limit: int = 256) -> float:
-        """Corpus-wide mean compression ratio over sampled blocks."""
-        ratios = self.block_ratios(block_size, sample_limit)
-        if not ratios:
-            raise ValueError("corpus produced no blocks")
-        return sum(ratios) / len(ratios)

@@ -32,12 +32,6 @@ class CompressorProfile:
     rate: float  # bytes/second of *input* consumed
     setup_time: float = 0.0  # fixed per-block invocation overhead, seconds
 
-    def time_for(self, nbytes: int) -> float:
-        """End-to-end seconds to compress `nbytes` (setup + streaming)."""
-        if nbytes < 0:
-            raise ValueError(f"cannot compress {nbytes} bytes")
-        return self.setup_time + nbytes / self.rate
-
     def occupancy_time(self, nbytes: int) -> float:
         """Seconds the resource is *exclusively busy* on `nbytes`.
 
@@ -87,7 +81,7 @@ def compressed_size(nbytes: int, ratio: float) -> int:
 class RatioSampler:
     """Draws per-block compression ratios from an empirical distribution.
 
-    Calibrate it once from a corpus (``RatioSampler.from_corpus``) and the
+    Calibrate it once with per-block ratios measured on a corpus and the
     simulator samples a ratio per write request, reproducing the
     block-to-block variability of real data without carrying real bytes.
     """
@@ -99,13 +93,6 @@ class RatioSampler:
             raise ValueError("ratios must be positive")
         self._ratios = tuple(ratios)
         self._rng = random.Random(seed)
-
-    @classmethod
-    def from_corpus(
-        cls, corpus: "typing.Any", block_size: int = 4096, seed: int = 0, sample_limit: int = 128
-    ) -> "RatioSampler":
-        """Calibrate from a :class:`~repro.compression.corpus.SilesiaLikeCorpus`."""
-        return cls(corpus.block_ratios(block_size, sample_limit=sample_limit), seed=seed)
 
     @classmethod
     def constant(cls, ratio: float) -> "RatioSampler":

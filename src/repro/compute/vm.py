@@ -59,29 +59,15 @@ class VirtualDisk:
             raise ValueError(f"block writes must be {self.block_size} B, got {len(data)}")
         return self.vm.sim.process(self._write(lba, data, latency_sensitive))
 
-    def write_synthetic(self, lba: int, ratio: float = 2.1) -> typing.Any:
-        """Process: write a performance-mode block (no real bytes)."""
-        self._check_lba(lba)
-        payload = Payload.synthetic(self.block_size, ratio)
-        return self.vm.sim.process(self._submit_write(lba, payload, False))
-
     def read(self, lba: int) -> typing.Any:
         """Process: read one block back; fires with its bytes."""
         self._check_lba(lba)
         return self.vm.sim.process(self._read(lba))
 
     def _write(self, lba: int, data: bytes, latency_sensitive: bool) -> typing.Generator:
-        result = yield from self._submit_write(
-            lba, Payload.from_bytes(data), latency_sensitive
-        )
-        return result
-
-    def _submit_write(
-        self, lba: int, payload: Payload, latency_sensitive: bool
-    ) -> typing.Generator:
         start = self.vm.sim.now
         reply = yield self.vm.agent.submit_write(
-            self.vm.vm_id, self.base_lba + lba, payload, latency_sensitive
+            self.vm.vm_id, self.base_lba + lba, Payload.from_bytes(data), latency_sensitive
         )
         if reply.header.get("status") != "ok":
             raise BlockIoError(f"write of LBA {lba} failed: {reply.header}")

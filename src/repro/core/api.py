@@ -37,11 +37,6 @@ class CompletionEvent:
         self.event = event
 
     @property
-    def completed(self) -> bool:
-        """True once the operation has finished."""
-        return self.event.processed
-
-    @property
     def size(self) -> int:
         """Bytes produced by the operation (valid after completion)."""
         value = self.event.value

@@ -33,36 +33,6 @@ def lz4_decompress_op(payload: Payload) -> Payload:
     return decompress_payload(payload)
 
 
-def checksum_op(payload: Payload) -> Payload:
-    """A non-compressing engine: append a CRC32 trailer to the block.
-
-    Demonstrates the paper's claim that SmartDS "provides a simple
-    interface to deploy different hardware engines according to the
-    application scenario" — here an integrity engine instead of LZ4.
-    """
-    import zlib
-
-    if payload.data is not None:
-        crc = zlib.crc32(payload.data)
-        data = payload.data + crc.to_bytes(4, "little")
-        return Payload(size=len(data), ratio=payload.ratio, data=data)
-    return Payload(size=payload.size + 4, ratio=payload.ratio)
-
-
-def verify_checksum_op(payload: Payload) -> Payload:
-    """Inverse of :func:`checksum_op`: strip and verify the trailer."""
-    import zlib
-
-    if payload.size < 4:
-        raise ValueError("payload too small to carry a CRC32 trailer")
-    if payload.data is not None:
-        body, trailer = payload.data[:-4], payload.data[-4:]
-        if zlib.crc32(body) != int.from_bytes(trailer, "little"):
-            raise ValueError("checksum mismatch: block corrupted in flight")
-        return Payload(size=len(body), ratio=payload.ratio, data=body)
-    return Payload(size=payload.size - 4, ratio=payload.ratio)
-
-
 def encrypt_op(payload: Payload) -> Payload:
     """An at-rest-encryption engine (XTS stand-in: keyed byte rotation).
 

@@ -26,12 +26,6 @@ class FpgaResources:
             self.luts_k + other.luts_k, self.regs_k + other.regs_k, self.brams + other.brams
         )
 
-    def scaled(self, factor: float) -> "FpgaResources":
-        """Multiply all quantities by `factor` (rounded sensibly)."""
-        return FpgaResources(
-            round(self.luts_k * factor), round(self.regs_k * factor), round(self.brams * factor)
-        )
-
 
 #: Total resources of the VCU128 part, derived from Table 3's percentages
 #: (e.g. SmartDS-1 uses 157 kLUT = 12.0 %).
@@ -85,11 +79,3 @@ def utilization(resources: FpgaResources) -> dict[str, float]:
         "brams": resources.brams / VCU128_TOTALS.brams,
     }
 
-
-def fits_on_vcu128(resources: FpgaResources) -> bool:
-    """Whether a configuration fits on the part at all."""
-    return (
-        resources.luts_k <= VCU128_TOTALS.luts_k
-        and resources.regs_k <= VCU128_TOTALS.regs_k
-        and resources.brams <= VCU128_TOTALS.brams
-    )

@@ -63,12 +63,6 @@ class CpuComplex:
             return CompressorProfile(f"cpu-thread-{thread_index}-smt", rate=_SMT_THREAD_RATE)
         return CompressorProfile(f"cpu-thread-{thread_index}", rate=_LONE_THREAD_RATE)
 
-    def aggregate_compression_rate(self, n_threads: int) -> float:
-        """Total LZ4 input bytes/second of `n_threads` busy workers."""
-        return sum(
-            self.compression_profile(i, n_threads).rate for i in range(n_threads)
-        )
-
     @property
     def parse_header_time(self) -> float:
         """Seconds a worker spends parsing one block-storage header."""

@@ -51,8 +51,9 @@ class AcceleratorMiddleTier(MiddleTierServer):
         ("fpga_pcie.dma_write", "out"),
         ("_ddio_write", "out"),
     )
-    # Reads decompress on the same engine round trip.
-    read_legs = write_legs[:-1]
+    # Reads decompress on the same engine round trip, and the block lands
+    # back in host memory as a write's output does.
+    read_legs = write_legs
     handoff_posts = 1
     offload = True
     host_posts = True

@@ -310,7 +310,8 @@ class MiddleTierServer(abc.ABC):
 
     @property
     def parse_time(self) -> float:
-        """Seconds to parse one write header (host software by default)."""
+        """Seconds to parse one request header, write or read (host
+        software by default)."""
         return self.platform.host.parse_header_time
 
     def _run_legs(
@@ -612,7 +613,7 @@ class MiddleTierServer(abc.ABC):
         some copy found no live server. `port` is the NIC port whose
         storage links carry the writes (multi-port designs).
         """
-        servers = self.testbed.policy.choose()
+        servers = self._choose(self.testbed.policy.replication)
         if servers is None:
             return None
         # Fail-over must never double-place a block: every retry excludes
@@ -655,8 +656,8 @@ class MiddleTierServer(abc.ABC):
         once the attempt budget is spent or no replacement is left.
 
         Accounting contract: the caller holds one replication-policy
-        claim on `server` (from ``choose()`` or ``claim()``); each
-        fail-over claims its replacement via :meth:`_choose_replacement`.
+        claim on `server` (from :meth:`_choose`); each fail-over claims
+        its replacement through :meth:`_choose` too.
         Every claim is released by exactly one ``complete()`` — in a
         ``finally`` so even an error path cannot leave
         ``policy.outstanding`` stale.
@@ -719,11 +720,12 @@ class MiddleTierServer(abc.ABC):
             exhausted = policy.attempts_exhausted(attempts) or attempts > len(
                 self.testbed.storage_servers
             )
-            server = None if exhausted else self._choose_replacement(excluded)
-            if server is None:
+            chosen = None if exhausted else self._choose(1, excluded)
+            if chosen is None:
                 if span is not None:
                     span.finish("failed", attempts=attempts)
                 return None
+            [server] = chosen
             backoff = 0.0 if short_circuit else policy.backoff_before(attempts + 1, token)
             if backoff > 0:
                 yield self.sim.timeout(backoff)
@@ -749,36 +751,39 @@ class MiddleTierServer(abc.ABC):
         """Whether the health monitor (if any) suspects `address` is down."""
         return self.health is not None and not self.health.is_healthy(address)
 
-    def _choose_replacement(self, excluded: typing.Collection[str]) -> "StorageServer | None":
-        """Claim the least-loaded live server outside `excluded`, or
-        return ``None`` when none is left (nothing is claimed then).
+    def _choose(
+        self, count: int, excluded: typing.Collection[str] = ()
+    ) -> "list[StorageServer] | None":
+        """Claim `count` live servers outside `excluded`, best first, or
+        return ``None`` and claim nothing when fewer are left.
 
-        The one replacement chooser: write fail-over and heartbeat
-        re-replication both call it.
+        The one ranking of storage servers (§2.2.1 placement, §2.2.3
+        fail-over): servers the heartbeat monitor does not suspect, then
+        those whose breaker is not open, then the fewest outstanding
+        writes, then the address. The initial replica set, write
+        fail-over and heartbeat re-replication all call it.
         """
-        alive = [
-            s
-            for s in self.testbed.storage_servers
-            if s.address not in excluded and not s.failed
+        policy = self.testbed.policy
+        live = [
+            s for s in self.testbed.storage_servers if s.address not in excluded and not s.failed
         ]
-        # Prefer servers the heartbeat monitor considers healthy; fall
-        # back to suspected-but-not-failed ones rather than giving up.
-        healthy = [s for s in alive if not self._suspected(s.address)]
-        candidates = healthy or alive
-        if self.admission is not None:
-            # Among equals, prefer replicas whose breaker isn't open —
-            # checked via .state (not allow()) so mere candidate ranking
-            # doesn't count as a short-circuit.
-            open_free = [
-                s
-                for s in candidates
-                if self.admission.breaker_for(s.address).state != "open"
-            ]
-            candidates = open_free or candidates
-        if not candidates:
+        if len(live) < count:
             return None
-        chosen = min(candidates, key=lambda s: self.testbed.policy.outstanding(s))
-        self.testbed.policy.claim(chosen)
+        breakers = None if self.admission is None else self.admission.breakers
+
+        def rank(server: "StorageServer") -> tuple:
+            # ``breakers.get``, not ``breaker_for``: ranking never makes a breaker.
+            breaker = None if breakers is None else breakers.get(server.address)
+            return (
+                self._suspected(server.address),
+                breaker is not None and breaker.state == "open",
+                policy.outstanding(server),
+                server.address,
+            )
+
+        chosen = sorted(live, key=rank)[:count]
+        for server in chosen:
+            policy.claim(server)
         return chosen
 
     # -- the read path --------------------------------------------------------
@@ -789,9 +794,10 @@ class MiddleTierServer(abc.ABC):
         """Serve a read (§2.2.2): fetch a replica, decompress, reply.
 
         The storage round-trip runs off-worker; only parse/decompress
-        occupy the worker, mirroring the write path split.
+        occupy the worker, mirroring the write path split. The header
+        parse is the design's own, as on writes (:attr:`parse_time`).
         """
-        yield self.sim.timeout(self.platform.host.parse_header_time)
+        yield self.sim.timeout(self.parse_time)
         self.sim.process(self._fetch_and_reply(worker_index, qp, message))
 
     def _read_replica_for(

@@ -11,7 +11,7 @@ Besides real-time I/O serving, every middle-tier server runs:
 - **snapshots** — periodic point-in-time pins of the chunk stores;
 - **fail-over monitoring** — heartbeats detect dead storage servers and
   re-replicate the retained blocks they held, each to a server from
-  the tier's one chooser, ``MiddleTierServer._choose_replacement``.
+  the tier's one chooser, ``MiddleTierServer._choose``.
 
 GC and snapshot round trips wait at most the write attempt time-out of
 the platform's ``RecoverySpec``: a dead server costs a loop one
@@ -326,11 +326,11 @@ class HeartbeatMonitor:
                     continue
                 # Suspected servers are excluded outright, so "none left"
                 # means no unsuspected live server: skip the block.
-                replacement = self.tier._choose_replacement(set(holders) | self.suspected)
-                if replacement is None:
+                chosen = self.tier._choose(1, set(holders) | self.suspected)
+                if chosen is None:
                     continue
                 result = yield self.sim.process(
-                    self.tier._write_replica(replacement, key, entry.payload, holders)
+                    self.tier._write_replica(chosen[0], key, entry.payload, holders)
                 )
                 if result is None:
                     continue  # the copy found no server: skip the block

@@ -73,25 +73,3 @@ class AddressMapper:
         if lba < 0:
             raise ValueError(f"negative LBA {lba}")
         return (lba * self.block_size) // self.spec.segment_bytes
-
-    def segments_of_range(self, lba: int, n_blocks: int) -> range:
-        """Segment ids touched by `n_blocks` contiguous blocks from `lba`.
-
-        Empty for a zero-length range; spans multiple segments when the
-        range crosses a 32 GB boundary.
-        """
-        if n_blocks < 0:
-            raise ValueError(f"negative block count {n_blocks}")
-        if n_blocks == 0:
-            first = self.segment_of(max(lba, 0))
-            return range(first, first)
-        first = self.segment_of(lba)
-        last = self.segment_of(lba + n_blocks - 1)
-        return range(first, last + 1)
-
-    def lbas_of_chunk(self, chunk_id: int) -> range:
-        """All LBAs resident in one chunk."""
-        if chunk_id < 0:
-            raise ValueError(f"negative chunk id {chunk_id}")
-        first = chunk_id * self.blocks_per_chunk
-        return range(first, first + self.blocks_per_chunk)

@@ -2,7 +2,7 @@
 
 A :class:`BandwidthServer` models a rate-limited pipe — a memory bus, a
 PCIe link direction, a NIC port direction, an HBM stack. A transfer of
-``n`` bytes occupies one of the server's `lanes` for ``n / lane_rate``
+``n`` bytes occupies one of the server's `lanes` for ``n * lanes / rate``
 seconds (plus a fixed per-transfer overhead), so queueing delay and
 interference between competing traffic emerge from the FIFO discipline,
 exactly as the paper's microbenchmarks (Table 1, Fig. 4) probe them on
@@ -80,11 +80,6 @@ class BandwidthServer:
         # Bound once: the server is long-lived, so the method object's
         # reference back to it is no per-transfer cycle.
         self._book_done = self._on_done
-
-    @property
-    def lane_rate(self) -> float:
-        """Service rate of a single lane in bytes/second."""
-        return self.rate / self.lanes
 
     @property
     def busy_lanes(self) -> int:

@@ -39,15 +39,6 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.kernel import Simulator
 
 
-class Interrupt(Exception):
-    """Thrown into a process by :meth:`Process.interrupt`."""
-
-    @property
-    def cause(self) -> typing.Any:
-        """The cause passed to :meth:`Process.interrupt`."""
-        return self.args[0] if self.args else None
-
-
 class Process(Event):
     """An event representing a running generator; fires when it returns."""
 
@@ -111,23 +102,6 @@ class Process(Event):
     def is_alive(self) -> bool:
         """True while the generator has not returned or raised."""
         return not self.triggered
-
-    def interrupt(self, cause: typing.Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at the current time."""
-        if self.triggered:
-            raise SimulationError(f"cannot interrupt finished {self!r}")
-        if self._waiting_on is None:
-            raise SimulationError(f"cannot interrupt {self!r} while it is being resumed")
-        # Detach from the event we were waiting on; it may still fire but
-        # must not resume us twice.
-        waited = self._waiting_on
-        if not waited.processed and self._resume in waited.callbacks:
-            waited.callbacks.remove(self._resume)
-        if not waited.ok and waited.triggered:
-            waited.defuse()
-        poke = Event(self.sim, name=f"interrupt:{self.name}")
-        poke.callbacks.append(self._resume)
-        poke.fail(Interrupt(cause))
 
     def _resume(self, event: Event) -> None:
         self._waiting_on = None

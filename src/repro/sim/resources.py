@@ -85,11 +85,6 @@ class Resource:
         """Number of currently granted slots."""
         return self._in_use
 
-    @property
-    def queue_length(self) -> int:
-        """Number of requests waiting for a slot."""
-        return self._n_waiting
-
     def waiting_requests(self) -> tuple[Request, ...]:
         """Live queued requests in grant order (cancelled entries skipped)."""
         live = [entry for entry in self._waiting if entry[2] is not None]
@@ -155,15 +150,6 @@ class Resource:
             heappush(sim._queue, (sim._now, next(sim._sequence), nxt))
         elif self._waiting:
             self._waiting.clear()  # only dead entries remained
-
-    def use(self, hold_time: float, priority: int = 0) -> typing.Generator:
-        """Process body: acquire a slot, hold it `hold_time`, release it."""
-        req = self.request(priority)
-        yield req
-        try:
-            yield self.sim.timeout(hold_time)
-        finally:
-            self.release(req)
 
     def __repr__(self) -> str:
         return (

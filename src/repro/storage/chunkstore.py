@@ -57,8 +57,8 @@ class ChunkStore:
         self._live: dict[int, StoredBlock] = {}
         self._dead: dict[int, StoredBlock] = {}
         self._snapshots: dict[int, tuple[int, ...]] = {}
-        # How many snapshots pin each location (absent: none).
-        self._pins: dict[int, int] = {}
+        # Locations some snapshot pins: GC keeps them.
+        self._pinned: set[int] = set()
         self._snapshot_ids = itertools.count(1)
         self.bytes_appended = 0
         self.bytes_reclaimed = 0
@@ -138,12 +138,12 @@ class ChunkStore:
         """
         log = self._chunks.get(chunk_id, [])
         dead = self._dead
-        pins = self._pins
+        pinned = self._pinned
         reclaimed = 0
         kept = []
         for record in log:
             location = record.location
-            if location in dead and location not in pins:
+            if location in dead and location not in pinned:
                 reclaimed += record.size
                 del dead[location]
             else:
@@ -157,9 +157,7 @@ class ChunkStore:
         """Pin the current live set; returns a snapshot id."""
         snap_id = next(self._snapshot_ids)
         locations = tuple(self._live)
-        pins = self._pins
-        for location in locations:
-            pins[location] = pins.get(location, 0) + 1
+        self._pinned.update(locations)
         self._snapshots[snap_id] = locations
         return snap_id
 
@@ -171,24 +169,6 @@ class ChunkStore:
         return [
             live[loc] if loc in live else dead[loc] for loc in self._snapshots[snap_id]
         ]
-
-    def drop_snapshot(self, snap_id: int) -> None:
-        """Release a snapshot's pins."""
-        locations = self._snapshots.pop(snap_id, None)
-        if locations is None:
-            raise KeyError(f"unknown snapshot {snap_id}")
-        pins = self._pins
-        for location in locations:
-            count = pins[location] - 1
-            if count:
-                pins[location] = count
-            else:
-                del pins[location]
-
-    @property
-    def live_bytes(self) -> int:
-        """Bytes currently live across all chunks."""
-        return sum(record.size for record in self._live.values())
 
     def chunk_ids(self) -> typing.KeysView[int]:
         """All chunk ids ever written."""

@@ -3,8 +3,9 @@
 Each write is replicated to several (usually three, §2.1) storage
 servers chosen "according to disk usage, distribution of switches,
 loads of storage servers, and disaster recovery strategy" (§2.2.1).
-:class:`ReplicationPolicy` implements a load-balanced chooser with a
-fail-over path.
+:class:`ReplicationPolicy` holds the replication factor and the ledger
+of writes outstanding per server; ``MiddleTierServer._choose`` ranks
+servers by it.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 
 class ReplicationPolicy:
-    """Chooses replica targets, balancing outstanding load across servers."""
+    """The replication factor and the writes outstanding on each server."""
 
     def __init__(self, servers: typing.Sequence["StorageServer"], replication: int = 3) -> None:
         if replication < 1:
@@ -25,28 +26,11 @@ class ReplicationPolicy:
             raise ValueError(
                 f"need at least {replication} storage servers, got {len(servers)}"
             )
-        self.servers = list(servers)
         self.replication = replication
-        self._outstanding: dict[str, int] = {server.address: 0 for server in self.servers}
-
-    def choose(self, exclude: typing.Collection[str] = ()) -> list["StorageServer"] | None:
-        """Pick `replication` distinct servers, least-loaded first.
-
-        `exclude` removes failed servers (fail-over re-replication).
-        Returns ``None``, claiming nothing, when fewer than `replication`
-        live servers remain.
-        """
-        candidates = [s for s in self.servers if s.address not in exclude and not s.failed]
-        if len(candidates) < self.replication:
-            return None
-        candidates.sort(key=lambda s: (self._outstanding[s.address], s.address))
-        chosen = candidates[: self.replication]
-        for server in chosen:
-            self._outstanding[server.address] += 1
-        return chosen
+        self._outstanding: dict[str, int] = {server.address: 0 for server in servers}
 
     def claim(self, server: "StorageServer") -> None:
-        """Account one extra outstanding write on `server` (fail-over path)."""
+        """Account one extra outstanding write on `server`."""
         if server.address not in self._outstanding:
             raise KeyError(f"{server.address} is not in this policy")
         self._outstanding[server.address] += 1

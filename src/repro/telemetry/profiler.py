@@ -10,10 +10,10 @@ module folds whole traces into:
 - **collapsed-stack** output (``root;child;leaf <weight>``), the format
   Brendan Gregg's ``flamegraph.pl`` and every flamegraph viewer accept.
 
-Build a profile from any :class:`~repro.telemetry.spans.SpanCollector`
-(or a whole :class:`~repro.telemetry.spans.TraceSession`):
+Build a profile from a whole :class:`~repro.telemetry.spans.TraceSession`
+(or fold traces one at a time with :meth:`SimProfile.add_trace`):
 
-    profile = SimProfile.from_collector(collector)
+    profile = SimProfile.from_session(session)
     print(profile.attribution_table())
     open("profile.folded", "w").write(profile.collapsed())
 
@@ -104,34 +104,12 @@ class SimProfile:
     # -- builders -----------------------------------------------------------
 
     @classmethod
-    def from_collector(
-        cls,
-        collector: "SpanCollector",
-        trace_ids: typing.Iterable[int] | None = None,
-    ) -> "SimProfile":
-        """Fold every (or the given) traces of one collector."""
-        profile = cls()
-        ids = collector.trace_ids if trace_ids is None else tuple(trace_ids)
-        for trace_id in ids:
-            profile.add_trace(collector.trace(trace_id))
-        return profile
-
-    @classmethod
     def from_session(cls, session: "TraceSession") -> "SimProfile":
         """Fold every trace of every collector in a session."""
         profile = cls()
         for collector in session.collectors:
             for trace_id in collector.trace_ids:
                 profile.add_trace(collector.trace(trace_id))
-        return profile
-
-    @classmethod
-    def from_records(cls, records: typing.Iterable[typing.Any]) -> "SimProfile":
-        """Fold flight-recorder :class:`~repro.telemetry.flight.TraceRecord`
-        span tuples — profile exactly the traces an alert shipped."""
-        profile = cls()
-        for record in records:
-            profile.add_trace(record.spans)
         return profile
 
     # -- folding ------------------------------------------------------------
@@ -205,16 +183,6 @@ class SimProfile:
             )
         return rows
 
-    def mean_exclusive_us(self) -> dict[str, float]:
-        """Exclusive microseconds per *trace* by component — the
-        per-request latency attribution ("where does p99 go")."""
-        if not self.n_traces:
-            return {}
-        return {
-            row["component"]: row["exclusive_us"] / self.n_traces
-            for row in self.components()
-        }
-
     def collapsed(self) -> str:
         """Collapsed-stack lines (``a;b;c <nanoseconds>``), flamegraph-ready."""
         lines = []
@@ -258,22 +226,3 @@ class SimProfile:
             f"components={len(self._components)}>"
         )
 
-
-def compare_attribution(
-    profiles: typing.Mapping[str, SimProfile],
-    title: str = "per-request exclusive us by component",
-) -> str:
-    """One table comparing per-trace attribution across labeled profiles
-    (e.g. ``{"0.5x": ..., "1.5x": ...}`` load multipliers)."""
-    labels = list(profiles)
-    means = {label: profiles[label].mean_exclusive_us() for label in labels}
-    components = [
-        component
-        for component in COMPONENTS
-        if any(component in means[label] for label in labels)
-    ]
-    rows = [
-        [component, *(means[label].get(component, 0.0) for label in labels)]
-        for component in components
-    ]
-    return format_table(["component", *labels], rows, title=title)

@@ -192,11 +192,6 @@ class SpanCollector:
             registry.register_instance(self._dropped, component="telemetry")
         sim._span_collector = self
 
-    def detach(self) -> None:
-        """Stop collecting; recorded spans stay readable."""
-        if self.sim._span_collector is self:
-            self.sim._span_collector = None
-
     @property
     def spans(self) -> list[Span]:
         """Every recorded span, in creation (span id) order."""

@@ -160,11 +160,6 @@ class SkewedReadFactory:
         self._cumulative = list(itertools.accumulate(weights))
         self._total = self._cumulative[-1]
 
-    @property
-    def hottest_lba(self) -> int:
-        """The rank-1 LBA (highest access probability)."""
-        return self._by_rank[0]
-
     def expected_frequency(self, rank: int) -> float:
         """Theoretical access probability of 1-based `rank`."""
         if not 1 <= rank <= self.n_blocks:

@@ -73,7 +73,3 @@ class MlcInjector:
             step += 1
             if self.delay > 0:
                 yield self.sim.timeout(self.delay)
-
-    def achieved_bandwidth(self, duration: float | None = None) -> float:
-        """Bytes/second the injector actually pushed through."""
-        return self.meter.rate(duration)

@@ -49,7 +49,7 @@ class TestSplitModuleTables:
         sim.run()
         # FIFO: descriptor k served message k.
         for i, event in enumerate(events):
-            assert event.completed
+            assert event.event.processed
             assert event.message.header["i"] == i
             assert buffers[i].payload is event.message.payload
 
@@ -122,7 +122,7 @@ class TestSplitModuleTables:
         sim.run(until=0.01)
         assert "b" in done
         assert "a" not in done  # still waiting for a descriptor
-        assert event_b.completed
+        assert event_b.event.processed
 
     def test_split_completion_carries_header_content(self):
         sim = Simulator()

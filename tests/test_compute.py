@@ -103,19 +103,6 @@ class TestVirtualDisk:
         with pytest.raises(ValueError):
             vm.create_disk(capacity_blocks=0)
 
-    def test_synthetic_write_mode(self):
-        sim = Simulator()
-        agent, tiers = build_stack(sim, n_workers=2)
-        vm = VirtualMachine(sim, agent, "vm0")
-        disk = vm.create_disk(capacity_blocks=4)
-
-        def guest():
-            yield disk.write_synthetic(2, ratio=2.0)
-
-        sim.process(guest())
-        sim.run()
-        assert disk.writes.value == 1
-
 
 class TestStorageAgentRouting:
     def test_segments_shard_across_tiers(self):

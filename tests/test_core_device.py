@@ -3,13 +3,7 @@
 import pytest
 
 from repro.core import DeviceBuffer, SmartDsDevice, design_resources
-from repro.core.resources import (
-    ACC_RESOURCES,
-    VCU128_TOTALS,
-    FpgaResources,
-    fits_on_vcu128,
-    utilization,
-)
+from repro.core.resources import FpgaResources, utilization
 from repro.net.message import Payload
 from repro.sim import Simulator
 from repro.units import gbps, to_gbps
@@ -163,14 +157,6 @@ class TestFpgaResources:
         assert util["luts"] == pytest.approx(0.12, abs=0.01)
         assert util["regs"] == pytest.approx(0.054, abs=0.01)
         assert util["brams"] == pytest.approx(0.145, abs=0.01)
-
-    def test_everything_fits_on_vcu128(self):
-        for ports in [1, 2, 4, 6]:
-            assert fits_on_vcu128(design_resources("smartds", ports))
-        assert fits_on_vcu128(ACC_RESOURCES)
-        assert not fits_on_vcu128(
-            FpgaResources(VCU128_TOTALS.luts_k + 1, 0, 0)
-        )
 
     def test_unknown_design_rejected(self):
         with pytest.raises(ValueError):

@@ -159,3 +159,35 @@ def test_core_legs_decompress_seven_times_faster(design):
     _, decompress = run_legs(sim, tier, (("cores", "out"),), COMPRESSED, RAW, read=True)
     assert compress == pytest.approx(RAW / rate)
     assert decompress == pytest.approx(RAW / (rate * DECOMPRESSION_SPEEDUP))
+
+
+@pytest.mark.parametrize(
+    "direction,nin,nout",
+    [("write", RAW, COMPRESSED), ("read", COMPRESSED, RAW)],
+)
+def test_accelerator_round_trip_lands_in_host_dram_without_ddio(direction, nin, nout):
+    # Without DDIO the FPGA reads the block from DRAM and writes its output
+    # back there, on reads as on writes: a decompressed block returns to
+    # host memory.
+    sim, tier = build("acc-no-ddio")
+    legs = tier.write_legs if direction == "write" else tier.read_legs
+    moved, _ = run_legs(sim, tier, legs, nin, nout, read=direction == "read")
+    assert moved[tier.memory._bus] == nin + nout
+    assert moved[tier.fpga_pcie.d2h] == nout + _PCIE_READ_REQUEST
+
+
+@pytest.mark.parametrize("design", ["bf2", "fpga-only"])
+def test_a_read_waits_the_designs_own_header_parse(design, monkeypatch):
+    # Reads parse where writes do: on the Arm cores (BF2) or in gateware
+    # (FPGA-only), not on a host core.
+    sim, tier = build(design)
+    assert tier.parse_time != tier.platform.host.parse_header_time
+    fetches = []
+
+    def fetch(worker_index, qp, message):
+        fetches.append(sim.now)
+        yield from ()
+
+    monkeypatch.setattr(tier, "_fetch_and_reply", fetch)
+    sim.run(until=sim.process(tier._handle_read(0, None, None)))
+    assert fetches == [pytest.approx(tier.parse_time)]

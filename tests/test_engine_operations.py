@@ -1,15 +1,11 @@
-"""Tests for alternate hardware-engine operations (checksum, encryption)."""
-
-import pytest
+"""Tests for alternate hardware-engine operations (encryption)."""
 
 from repro.core import DeviceBuffer, SmartDsDevice
 from repro.core.engines import (
-    checksum_op,
     decrypt_op,
     encrypt_op,
     lz4_compress_op,
     lz4_decompress_op,
-    verify_checksum_op,
 )
 from repro.net.message import Payload
 from repro.sim import Simulator
@@ -29,37 +25,6 @@ def run_engine(operation, payload):
     sim.process(body())
     sim.run()
     return out["result"]
-
-
-class TestChecksumEngine:
-    def test_appends_four_byte_trailer(self):
-        payload = Payload.from_bytes(b"data block" * 40)
-        result = run_engine(checksum_op, payload)
-        assert result.size == payload.size + 4
-        assert result.data[:-4] == payload.data
-
-    def test_verify_roundtrip(self):
-        payload = Payload.from_bytes(b"integrity" * 30)
-        stamped = run_engine(checksum_op, payload)
-        restored = run_engine(verify_checksum_op, stamped)
-        assert restored.data == payload.data
-
-    def test_corruption_detected(self):
-        payload = Payload.from_bytes(b"integrity" * 30)
-        stamped = checksum_op(payload)
-        corrupted = Payload.from_bytes(b"X" + stamped.data[1:])
-        with pytest.raises(ValueError, match="checksum mismatch"):
-            verify_checksum_op(corrupted)
-
-    def test_synthetic_mode_tracks_sizes(self):
-        payload = Payload.synthetic(4096, 2.0)
-        stamped = checksum_op(payload)
-        assert stamped.size == 4100
-        assert verify_checksum_op(stamped).size == 4096
-
-    def test_too_small_payload_rejected(self):
-        with pytest.raises(ValueError):
-            verify_checksum_op(Payload.from_bytes(b"ab"))
 
 
 class TestEncryptionEngine:
@@ -108,9 +73,9 @@ class TestOperationComposition:
         dest = DeviceBuffer(size=payload.size + 8)
 
         def body():
-            yield engine.run(src, payload.size, dest, operation=checksum_op)
+            yield engine.run(src, payload.size, dest, operation=encrypt_op)
 
         sim.process(body())
         sim.run()
         assert engine.blocks_processed.value == 1
-        assert engine.bytes_out.value == payload.size + 4
+        assert engine.bytes_out.value == payload.size

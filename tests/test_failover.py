@@ -163,6 +163,39 @@ class TestRetryDeadlineEdges:
         sim.run()
 
 
+
+class TestReplicaPlacement:
+    """A fresh write's replica set skips a server the tier already
+    distrusts: one ranking places every copy (§2.2.1, §2.2.3)."""
+
+    @pytest.mark.parametrize("distrust", ["breaker-open", "suspected"])
+    def test_fresh_write_avoids_a_distrusted_server(self, distrust):
+        from repro.experiments.ext_overload import overload_platform
+
+        sim = Simulator()
+        platform = overload_platform() if distrust == "breaker-open" else DEFAULT_PLATFORM
+        testbed = Testbed(sim, platform, n_storage_servers=5)
+        tier = CpuOnlyMiddleTier(sim, testbed, n_workers=2)
+        # The first server by address: least loaded, so chosen if trusted.
+        distrusted = testbed.storage_servers[0].address
+        if distrust == "breaker-open":
+            for _ in range(tier.admission.spec.breaker_threshold):
+                tier.admission.record_server_failure(distrusted)
+        else:
+            monitor = HeartbeatMonitor(sim, tier, interval=1.0)
+            monitor.suspected.add(distrusted)
+        payload = WriteRequestFactory(testbed.platform, seed=FAULT_SEED).make().payload
+        write = sim.process(tier._replicate((0, 0), payload))
+        sim.run(until=write)
+        assert write.value is not None
+        assert distrusted not in {address for address, _location in write.value}
+        if tier.admission is not None:
+            assert tier.admission.short_circuits.value == 0  # no doomed first attempt
+        assert tier.failovers.value == 0
+        for server in testbed.storage_servers:
+            assert testbed.policy.outstanding(server) == 0, server.address
+
+
 def _linked_pair(sim):
     spec = NetworkSpec()
     a = RoceEndpoint(sim, NetworkPort(sim, gbps(100), "a.port"), "a", spec=spec)

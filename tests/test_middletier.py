@@ -59,12 +59,6 @@ class TestAddressMapper:
         assert mapper.blocks_per_chunk == 64 * 1024 * 1024 // 4096
         assert mapper.chunks_per_segment == 32 * 1024 // 64
 
-    def test_lbas_of_chunk(self):
-        mapper = AddressMapper()
-        lbas = mapper.lbas_of_chunk(2)
-        assert lbas[0] == 2 * mapper.blocks_per_chunk
-        assert len(lbas) == mapper.blocks_per_chunk
-
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             AddressMapper().resolve(-1)

@@ -4,14 +4,12 @@ collapsed stacks, and end-to-end attribution over real tier traffic."""
 import pytest
 
 from repro.middletier import CpuOnlyMiddleTier, Testbed
-from repro.params import DEFAULT_PLATFORM, FlightSpec
+from repro.params import DEFAULT_PLATFORM
 from repro.sim import Simulator
-from repro.telemetry.flight import FlightRecorder
 from repro.telemetry.profiler import (
     COMPONENTS,
     SimProfile,
     _union_length,
-    compare_attribution,
     component_of,
 )
 from repro.telemetry.schemas import validate_profile
@@ -76,12 +74,20 @@ def _tree(sim, collector):
     return root
 
 
+def _profile(collector):
+    """Fold every trace `collector` recorded."""
+    profile = SimProfile()
+    for trace_id in collector.trace_ids:
+        profile.add_trace(collector.trace(trace_id))
+    return profile
+
+
 class TestFolding:
     def test_exclusive_subtracts_union_of_children(self):
         sim = Simulator()
         collector = SpanCollector(sim)
         _tree(sim, collector)
-        profile = SimProfile.from_collector(collector)
+        profile = _profile(collector)
         rows = {row["component"]: row for row in profile.components()}
         # Root: 10us inclusive; children cover [1,4] U [3,6] = 5us.
         assert rows["client"]["inclusive_us"] == pytest.approx(10.0)
@@ -106,7 +112,7 @@ class TestFolding:
         root.finish("ok")
         sim._now = usec(8)
         late.finish("ok")  # reply-path child outlives the root
-        profile = SimProfile.from_collector(collector)
+        profile = _profile(collector)
         rows = {row["component"]: row for row in profile.components()}
         # Only the overlap [0,2] is subtracted from the root.
         assert rows["client"]["exclusive_us"] == pytest.approx(0.0)
@@ -116,7 +122,7 @@ class TestFolding:
         sim = Simulator()
         collector = SpanCollector(sim)
         _tree(sim, collector)
-        profile = SimProfile.from_collector(collector)
+        profile = _profile(collector)
         lines = dict(
             line.rsplit(" ", 1) for line in profile.collapsed().splitlines()
         )
@@ -126,21 +132,11 @@ class TestFolding:
             int(usec(2) * 1e9)
         )
 
-    def test_from_records_profiles_alert_evidence(self):
-        sim = Simulator()
-        collector = SpanCollector(sim)
-        flight = FlightRecorder(collector, FlightSpec(enabled=True, healthy_every=1))
-        _tree(sim, collector)
-        profile = SimProfile.from_records(flight.records)
-        assert profile.n_traces == 1
-        assert profile.n_spans == 4
-
     def test_empty_trace_ignored(self):
         profile = SimProfile()
         profile.add_trace(())
         assert profile.n_traces == 0
         assert profile.collapsed() == ""
-        assert profile.mean_exclusive_us() == {}
 
 
 class TestOutputs:
@@ -148,7 +144,7 @@ class TestOutputs:
         sim = Simulator()
         collector = SpanCollector(sim)
         _tree(sim, collector)
-        profile = SimProfile.from_collector(collector)
+        profile = _profile(collector)
         document = profile.to_dict()
         validate_profile(document)
         assert document["n_traces"] == 1
@@ -158,19 +154,9 @@ class TestOutputs:
         sim = Simulator()
         collector = SpanCollector(sim)
         _tree(sim, collector)
-        profile = SimProfile.from_collector(collector)
+        profile = _profile(collector)
         table = profile.attribution_table()
         assert "client" in table and "share" in table
-        comparison = compare_attribution({"a": profile, "b": profile})
-        assert "client" in comparison
-
-    def test_mean_exclusive_per_trace(self):
-        sim = Simulator()
-        collector = SpanCollector(sim)
-        _tree(sim, collector)
-        profile = SimProfile.from_collector(collector)
-        means = profile.mean_exclusive_us()
-        assert means["client"] == pytest.approx(5.0)
 
 
 class TestEndToEnd:
@@ -187,7 +173,7 @@ class TestEndToEnd:
             warmup_fraction=0.0,
         )
         sim.run(until=driver.run(12))
-        profile = SimProfile.from_collector(collector)
+        profile = _profile(collector)
         assert profile.n_traces == 12
         rows = {row["component"]: row for row in profile.components()}
         # The write path touches at least client, net, and storage.

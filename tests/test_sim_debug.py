@@ -37,7 +37,10 @@ class TestDrainAuditor:
         store = Store(sim)
 
         def worker():
-            yield sim.process(resource.use(1.0))
+            req = resource.request()
+            yield req
+            yield sim.timeout(1.0)
+            resource.release(req)
             yield store.put("x")
             yield store.get()
 

@@ -6,7 +6,6 @@ import sys
 import pytest
 
 from repro.sim import AllOf, AnyOf, SimulationError, Simulator
-from repro.sim.process import Interrupt
 
 
 def test_timeout_advances_clock():
@@ -462,26 +461,6 @@ def test_run_restores_the_collector_state(enabled, mode):
     finally:
         (gc.enable if was_enabled else gc.disable)()
     assert during == [False]  # paused while events dispatch
-
-
-def test_interrupt_wakes_sleeping_process():
-    sim = Simulator()
-    log = []
-
-    def sleeper():
-        try:
-            yield sim.timeout(100.0)
-        except Interrupt as interrupt:
-            log.append((sim.now, interrupt.cause))
-
-    def interrupter(target):
-        yield sim.timeout(2.0)
-        target.interrupt("wake up")
-
-    target = sim.process(sleeper())
-    sim.process(interrupter(target))
-    sim.run()
-    assert log == [(2.0, "wake up")]
 
 
 def test_waiting_on_already_processed_event():

@@ -72,7 +72,7 @@ def test_resource_never_exceeds_capacity(capacity, hold_times):
     sim.run()
     assert peak["value"] <= capacity
     assert resource.in_use == 0
-    assert resource.queue_length == 0
+    assert resource.waiting_requests() == ()
 
 
 @settings(max_examples=60, deadline=None)

@@ -81,27 +81,14 @@ class TestResource:
         sim.run()
         assert order == ["first", "high", "low"]
 
-    def test_use_helper_releases_on_completion(self):
-        sim = Simulator()
-        resource = Resource(sim, capacity=1)
-
-        def worker():
-            yield sim.process(resource.use(2.0))
-
-        sim.process(worker())
-        sim.process(worker())
-        sim.run()
-        assert sim.now == 4.0
-        assert resource.in_use == 0
-
     def test_release_of_queued_request_cancels_it(self):
         sim = Simulator()
         resource = Resource(sim, capacity=1)
         holder = resource.request()
         queued = resource.request()
-        assert resource.queue_length == 1
+        assert len(resource.waiting_requests()) == 1
         resource.release(queued)
-        assert resource.queue_length == 0
+        assert len(resource.waiting_requests()) == 0
         resource.release(holder)
         assert resource.in_use == 0
 
@@ -454,7 +441,7 @@ class TestHeapQueueSemantics:
                 sync_grant()
 
         assert granted == model_granted
-        assert resource.queue_length == len(model_queue)
+        assert len(resource.waiting_requests()) == len(model_queue)
 
     def test_depth_sweep_is_subquadratic(self):
         """Queue-op cost must not scale linearly with depth (the seed's

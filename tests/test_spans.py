@@ -286,13 +286,6 @@ class TestSpanCollector:
         document = json.loads(path.read_text())
         assert document["traceEvents"]
 
-    def test_detach_restores_untraced_sim(self):
-        sim = Simulator()
-        collector = SpanCollector(sim)
-        assert sim._span_collector is collector
-        collector.detach()
-        assert sim._span_collector is None
-
     def test_invalid_limit(self):
         with pytest.raises(ValueError):
             SpanCollector(Simulator(), limit=0)

